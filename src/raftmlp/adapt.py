@@ -15,8 +15,7 @@ unfolding tiles evenly.
 
 from __future__ import annotations
 
-from .blocks import channel_mixing, multi_scale_patch_embed
-from .models import Model, _classify, token_mix
+from .models import Model, _classify, _run_levels, token_mix
 from .ops import bicubic_resize
 from .rearrange import rearrange
 from .tensor import PatchGrid, Tensor
@@ -61,27 +60,7 @@ def adapted_token_mixing(
     return rearrange(planes, "c h w -> (h w) c")
 
 
-def adapted_raft_mixing(
-    x: Tensor, params, run_grid: PatchGrid, train_grid: PatchGrid
-) -> Tensor:
-    """Raft token mixing on a runtime grid (alias of the generic sandwich)."""
-    return adapted_token_mixing(x, params, run_grid, train_grid)
-
-
 def forward_adapted(model: Model, image: Tensor) -> Tensor:
     """Logits for a [3, h, w] image of any size >= 1 in each extent."""
     image = pre_embed_resize(image, model.config.total_stride)
-    run_grids = model.config.grids((image.shape[1], image.shape[2]))
-    train_grids = model.config.grids()
-
-    x = image
-    tokens = None
-    last = len(model.levels) - 1
-    for index, (params, run, train) in enumerate(zip(model.levels, run_grids, train_grids)):
-        tokens = multi_scale_patch_embed(x, params.embed)
-        for block in params.blocks:
-            tokens = adapted_token_mixing(tokens, block.token, run, train)
-            tokens = channel_mixing(tokens, block.channel)
-        if index < last:
-            x = rearrange(tokens, "(h w) c -> c h w", h=run.h_prime, w=run.w_prime)
-    return _classify(model, tokens)
+    return _classify(model, _run_levels(model, image, adapted_token_mixing)[-1])

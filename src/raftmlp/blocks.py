@@ -56,10 +56,6 @@ class MixingParams:
         return self.fc1.d_in
 
 
-class ChannelMixingParams(MixingParams):
-    """Mixing MLP whose axis is the channel axis itself (dim == channels)."""
-
-
 @dataclass(frozen=True)
 class RaftTokenMixingParams:
     """Directional token mixing with r channel subgroups folded in.
@@ -171,13 +167,6 @@ def channel_mixing(x: Tensor, p: MixingParams) -> Tensor:
     return mixing_mlp(x, p, None)
 
 
-def raftmlp_block(
-    x: Tensor, token_p: RaftTokenMixingParams, chan_p: MixingParams, grid: PatchGrid
-) -> Tensor:
-    """Raft token mixing followed by channel mixing."""
-    return channel_mixing(raft_token_mixing(x, token_p, grid), chan_p)
-
-
 def multi_scale_patch_embed(x: Tensor, p: EmbedParams) -> Tensor:
     """Embed a [c_in, h, w] image into [(h/p)*(w/p), c_out] tokens.
 
@@ -252,10 +241,9 @@ def init_mixing(
     hidden: int,
     eps: float = 1e-6,
     dtype: str = "f32",
-    cls=MixingParams,
 ) -> MixingParams:
     """Mixing MLP params: norm over ``channels``, MLP dim -> hidden -> dim."""
-    return cls(
+    return MixingParams(
         ln=init_layer_norm(channels, eps=eps, dtype=dtype),
         fc1=init_linear(rng, dim, hidden, dtype=dtype),
         fc2=init_linear(rng, hidden, dim, dtype=dtype),
@@ -290,11 +278,8 @@ def init_channel_mixing(
     e_chan: int = 4,
     eps: float = 1e-6,
     dtype: str = "f32",
-) -> ChannelMixingParams:
-    return init_mixing(
-        rng, channels, channels, e_chan * channels, eps=eps, dtype=dtype,
-        cls=ChannelMixingParams,
-    )
+) -> MixingParams:
+    return init_mixing(rng, channels, channels, e_chan * channels, eps=eps, dtype=dtype)
 
 
 def init_embed(

@@ -12,7 +12,8 @@ Layout (all integers little-endian, scalars little-endian row-major):
         payload  dtype-size * prod(dims) bytes
 
 Round trips are bitwise lossless. Loading into a model requires the
-stored names to match the model's parameter names exactly.
+stored names to match the model's parameter names exactly, and each
+stored tensor to have its parameter's dtype and shape.
 """
 
 from __future__ import annotations
@@ -128,7 +129,9 @@ def load_weights(model: Model, path) -> Model:
     """Model with parameters replaced by the container's contents.
 
     The stored name set must equal the model's parameter name set; the
-    error lists any missing and extra names.
+    error lists any missing and extra names. Every stored tensor must
+    have its parameter's dtype and shape; the error lists each that
+    does not.
     """
     tensors = load_tensors(path)
     expected = named_parameters(model)
@@ -138,4 +141,12 @@ def load_weights(model: Model, path) -> Model:
         raise ContainerNameError(
             f"container does not match the model: missing {missing}, extra {extra}"
         )
+    misfits = [
+        f"{name} is {tensors[name].dtype} {tensors[name].shape}, "
+        f"model has {want.dtype} {want.shape}"
+        for name, want in expected.items()
+        if (tensors[name].dtype, tensors[name].shape) != (want.dtype, want.shape)
+    ]
+    if misfits:
+        raise ContainerError("container tensors do not fit the model: " + "; ".join(misfits))
     return replace_parameters(model, tensors)

@@ -234,17 +234,3 @@ def cost_report(model: Model, resolution=None) -> CostReport:
         )
     )
     return CostReport(name=config.name, resolution=resolution, rows=tuple(rows))
-
-
-def count_params_exact(model: Model) -> CostReport:
-    """Parameter-only report (MAC columns zeroed)."""
-    full = cost_report(model)
-    rows = tuple(CostRow(r.name, r.params, 0) for r in full.rows)
-    return CostReport(name=full.name, resolution=full.resolution, rows=rows)
-
-
-def count_macs_exact(model: Model, resolution=None) -> CostReport:
-    """MAC-only report (parameter columns zeroed)."""
-    full = cost_report(model, resolution=resolution)
-    rows = tuple(CostRow(r.name, 0, r.macs) for r in full.rows)
-    return CostReport(name=full.name, resolution=full.resolution, rows=rows)

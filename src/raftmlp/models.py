@@ -29,7 +29,6 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .blocks import (
-    ChannelMixingParams,
     EmbedParams,
     MixingParams,
     RaftTokenMixingParams,
@@ -138,7 +137,7 @@ TokenParams = Union[RaftTokenMixingParams, MixingParams]
 @dataclass(frozen=True)
 class BlockParams:
     token: TokenParams
-    channel: ChannelMixingParams
+    channel: MixingParams
 
 
 @dataclass(frozen=True)
@@ -296,30 +295,6 @@ def build_preset(name: str, init: str = "trunc_normal", dtype: str = "f32", **kw
     return build_model(preset_config(name, **kwargs), init=init, dtype=dtype)
 
 
-def build_raftmlp(
-    variant: str,
-    num_classes: int = 1000,
-    seed: int = 0,
-    init: str = "trunc_normal",
-    dtype: str = "f32",
-) -> Model:
-    return build_model(
-        raftmlp_config(variant, num_classes=num_classes, seed=seed), init=init, dtype=dtype
-    )
-
-
-def build_mixer_b16(
-    raft_size: Optional[int] = None,
-    num_classes: int = 1000,
-    seed: int = 0,
-    init: str = "trunc_normal",
-    dtype: str = "f32",
-) -> Model:
-    return build_model(
-        mixer_b16_config(raft_size, num_classes=num_classes, seed=seed), init=init, dtype=dtype
-    )
-
-
 # ---------------------------------------------------------------------------
 # Forward
 # ---------------------------------------------------------------------------
@@ -332,19 +307,30 @@ def token_mix(tokens: Tensor, p: TokenParams, grid: PatchGrid) -> Tensor:
     return mixing_mlp(tokens, p, _TOKEN_TRANSPOSE)
 
 
-def _run_levels(model: Model, image: Tensor):
-    grids = model.config.grids((image.shape[1], image.shape[2]))
+def _run_levels(model: Model, image: Tensor, mix_tokens) -> list:
+    """Post-block tokens of every level, with ``mix_tokens`` as the token step.
+
+    ``mix_tokens(tokens, params, run_grid, build_grid)`` mixes [tokens, c]
+    on the image's grid; ``build_grid`` is the one the parameters fit.
+    """
+    run_grids = model.config.grids((image.shape[1], image.shape[2]))
     outputs = []
     x = image
-    for index, (params, grid) in enumerate(zip(model.levels, grids)):
+    for index, (params, run, build) in enumerate(
+        zip(model.levels, run_grids, model.config.grids())
+    ):
         tokens = multi_scale_patch_embed(x, params.embed)
         for block in params.blocks:
-            tokens = token_mix(tokens, block.token, grid)
+            tokens = mix_tokens(tokens, block.token, run, build)
             tokens = channel_mixing(tokens, block.channel)
-        outputs.append((tokens, grid))
+        outputs.append(tokens)
         if index + 1 < len(model.levels):
-            x = rearrange(tokens, "(h w) c -> c h w", h=grid.h_prime, w=grid.w_prime)
+            x = rearrange(tokens, "(h w) c -> c h w", h=run.h_prime, w=run.w_prime)
     return outputs
+
+
+def _native_token_mix(tokens: Tensor, p: TokenParams, run: PatchGrid, build: PatchGrid) -> Tensor:
+    return token_mix(tokens, p, run)
 
 
 def _classify(model: Model, tokens: Tensor) -> Tensor:
@@ -365,14 +351,13 @@ def _check_native(model: Model, image: Tensor) -> None:
 def forward(model: Model, image: Tensor) -> Tensor:
     """Logits for one [3, h, w] image at the configured resolution."""
     _check_native(model, image)
-    tokens, _ = _run_levels(model, image)[-1]
-    return _classify(model, tokens)
+    return _classify(model, _run_levels(model, image, _native_token_mix)[-1])
 
 
 def level_outputs(model: Model, image: Tensor) -> list:
     """Post-block token tensors [tokens_l, c_l], one per level."""
     _check_native(model, image)
-    return [tokens for tokens, _ in _run_levels(model, image)]
+    return _run_levels(model, image, _native_token_mix)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +433,7 @@ def replace_parameters(model: Model, params: Mapping[str, Tensor]) -> Model:
         )
 
     def mix(prefix, old):
-        return type(old)(
+        return MixingParams(
             ln=ln(f"{prefix}.ln", old.ln),
             fc1=lin(f"{prefix}.fc1", old.fc1),
             fc2=lin(f"{prefix}.fc2", old.fc2),

@@ -29,7 +29,7 @@ from .blocks import (
 )
 from .container import load_weights, save_weights
 from .cost import (
-    count_params_exact,
+    cost_report,
     raft_mixing_params_analytic,
     token_mixing_params_analytic,
 )
@@ -292,7 +292,7 @@ def _check_analytic_exact() -> str:
 
 def _check_ablation_params() -> str:
     for preset, expected in ABLATION_PARAMS.items():
-        got = count_params_exact(build_preset(preset, init="zeros")).params_total
+        got = cost_report(build_preset(preset, init="zeros")).params_total
         if got != expected:
             raise CheckFailure(f"{preset}: {got} params, expected {expected}")
     return "all four ablation counts reproduce exactly"
@@ -300,7 +300,7 @@ def _check_ablation_params() -> str:
 
 def _check_preset_params() -> str:
     for preset, expected in PRESET_PARAMS.items():
-        got = count_params_exact(build_preset(preset, init="zeros")).params_total
+        got = cost_report(build_preset(preset, init="zeros")).params_total
         if got != expected:
             raise CheckFailure(f"{preset}: {got} params, expected {expected}")
     return "raft preset counts reproduce exactly"

@@ -38,7 +38,6 @@ from raftmlp.container import (
 )
 from raftmlp.cost import (
     breakeven_report,
-    count_params_exact,
     cost_report,
     params_advantage,
     raft_mixing_macs_analytic,
@@ -87,7 +86,7 @@ def test_criterion_01_ablation_parameter_regression():
         "mixer-b16-cr4": 58.4e6,
     }
     for name, want in published.items():
-        got = count_params_exact(build_preset(name, init="zeros")).params_total
+        got = cost_report(build_preset(name, init="zeros")).params_total
         rel = abs(got - want) / want
         assert rel < 0.005, f"{name}: {got} vs {want:.0f} (rel {rel:.4%})"
     print("criterion 01 PASS: four ablation parameter counts within 0.5%")
@@ -96,7 +95,7 @@ def test_criterion_01_ablation_parameter_regression():
 def test_criterion_02_preset_parameter_regression():
     published = {"raftmlp-s": 9.9e6, "raftmlp-m": 21.4e6, "raftmlp-l": 36.2e6}
     for name, want in published.items():
-        got = count_params_exact(build_preset(name, init="zeros")).params_total
+        got = cost_report(build_preset(name, init="zeros")).params_total
         rel = abs(got - want) / want
         assert rel < 0.03, f"{name}: {got} vs {want:.0f} (rel {rel:.4%})"
     print("criterion 02 PASS: S/M/L parameter counts within 3%")

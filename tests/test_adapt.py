@@ -8,6 +8,7 @@ from raftmlp.adapt import (
     forward_adapted,
     pre_embed_resize,
 )
+from raftmlp.blocks import channel_mixing, multi_scale_patch_embed
 from raftmlp.models import (
     LevelConfig,
     ModelConfig,
@@ -16,6 +17,8 @@ from raftmlp.models import (
     forward,
     token_mix,
 )
+from raftmlp.ops import global_avg_pool, linear
+from raftmlp.rearrange import rearrange
 from raftmlp.tensor import PatchGrid, Tensor
 
 PRESET_NAMES = (
@@ -123,6 +126,31 @@ class TestForwardAdapted:
         assert np.array_equal(
             forward(model, image).numpy(), forward_adapted(model, image).numpy()
         )
+
+    @pytest.mark.parametrize(
+        "build, shape, dtype",
+        [
+            (lambda: build_model(tiny_config(), dtype="f64"), (3, 40, 56), "f64"),
+            (lambda: build_preset("raftmlp-s"), (3, 197, 131), "f32"),
+        ],
+        ids=["tiny-f64-40x56", "raftmlp-s-f32-197x131"],
+    )
+    def test_off_grid_matches_straight_line_composition(self, build, shape, dtype):
+        # Hand-compose the exact op sequence of the adapted forward pass.
+        model = build()
+        image = Tensor(np.random.default_rng(12).normal(size=shape), dtype=dtype)
+        got = forward_adapted(model, image).numpy()
+
+        x = pre_embed_resize(image, model.config.total_stride)
+        runs = model.config.grids((x.shape[1], x.shape[2]))
+        for params, run, train in zip(model.levels, runs, model.config.grids()):
+            tokens = multi_scale_patch_embed(x, params.embed)
+            for block in params.blocks:
+                tokens = adapted_token_mixing(tokens, block.token, run, train)
+                tokens = channel_mixing(tokens, block.channel)
+            x = rearrange(tokens, "(h w) c -> c h w", h=run.h_prime, w=run.w_prime)
+        want = linear(global_avg_pool(tokens), model.head).numpy()
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("shape", [(3, 16, 16), (3, 48, 48), (3, 40, 56), (3, 33, 31)])
     def test_off_grid_shapes_produce_finite_logits(self, shape):

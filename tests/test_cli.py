@@ -174,6 +174,18 @@ class TestForward:
         assert main(argv) == EX_IO
         assert "missing" in capsys.readouterr().err
 
+    def test_misfit_container_dtype_and_shape(self, capsys, image_224, tmp_path):
+        params = dict(named_parameters(build_preset("raftmlp-s", init="zeros")))
+        params["head.bias"] = Tensor(np.zeros(1000), dtype="f64")
+        params["head.weight"] = Tensor(np.zeros((512, 10), dtype=np.float32), dtype="f32")
+        misfit = tmp_path / "misfit.rftw"
+        save_tensors(params, misfit)
+        argv = ["forward", "raftmlp-s", "--weights", str(misfit), "--image", image_224]
+        assert main(argv) == EX_IO
+        err = capsys.readouterr().err
+        assert "ContainerError" in err
+        assert "head.bias is f64" in err and "head.weight is f32 (512, 10)" in err
+
     def test_ascii_image_is_io_error(self, capsys, weights_path, tmp_path):
         p3 = tmp_path / "ascii.ppm"
         p3.write_bytes(b"P3\n1 1\n255\n0 0 0\n")

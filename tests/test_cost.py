@@ -5,8 +5,6 @@ import pytest
 from raftmlp.cost import (
     breakeven_report,
     cost_report,
-    count_macs_exact,
-    count_params_exact,
     macs_advantage,
     params_advantage,
     raft_mixing_macs_analytic,
@@ -185,7 +183,7 @@ class TestExactCounters:
     def test_params_agree_with_tensor_inventory(self, name):
         model = build_preset(name, init="zeros")
         inventory = sum(t.size for t in named_parameters(model).values())
-        assert count_params_exact(model).params_total == inventory
+        assert cost_report(model).params_total == inventory
 
     def test_counts_ignore_initializer(self):
         zeros = cost_report(build_preset("raftmlp-s", init="zeros"))
@@ -238,15 +236,6 @@ class TestExactCounters:
         # The classifier runs once: 8 * 5 weights plus nothing for the bias.
         assert rows["head"].macs == 40
         assert rows["head"].params == 8 * 5 + 5
-
-    def test_split_reports_zero_the_other_column(self):
-        model = build_preset("raftmlp-s", init="zeros")
-        params_only = count_params_exact(model)
-        macs_only = count_macs_exact(model)
-        assert all(r.macs == 0 for r in params_only.rows)
-        assert all(r.params == 0 for r in macs_only.rows)
-        assert params_only.params_total == cost_report(model).params_total
-        assert macs_only.macs_total == cost_report(model).macs_total
 
     def test_as_dict_layout(self):
         report = cost_report(build_preset("raftmlp-s", init="zeros"))

@@ -178,6 +178,19 @@ class TestModelWeights:
         assert "head.bias" in str(exc_info.value)
         assert "rogue" in str(exc_info.value)
 
+    def test_dtype_and_shape_mismatch_lists_every_tensor(self, tmp_path):
+        model = tiny_model()
+        tensors = dict(named_parameters(model))
+        tensors["head.bias"] = Tensor(tensors["head.bias"].numpy(), dtype="f32")
+        tensors["head.weight"] = Tensor(np.zeros((16, 10)), dtype="f64")
+        path = tmp_path / "misfit.rftw"
+        save_tensors(tensors, path)
+        with pytest.raises(ContainerError) as exc_info:
+            load_weights(model, path)
+        message = str(exc_info.value)
+        assert "head.bias is f32 (4,), model has f64 (4,)" in message
+        assert "head.weight is f64 (16, 10), model has f64 (16, 4)" in message
+
     def test_all_errors_are_value_errors(self):
         for exc in (
             ContainerError,

@@ -1,17 +1,22 @@
 """Model presets, the forward pass, and parameter plumbing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import raftmlp
 
 from raftmlp.blocks import channel_mixing, multi_scale_patch_embed, raft_token_mixing
 from raftmlp.models import (
     LevelConfig,
     ModelConfig,
     PRESETS,
-    build_mixer_b16,
     build_model,
     build_preset,
-    build_raftmlp,
     forward,
     level_outputs,
     mixer_b16_config,
@@ -140,7 +145,7 @@ class TestBuild:
         assert model.levels[1].embed.projection.d_in == 8 * 4
 
     def test_mixer_token_mlp_dimensions(self):
-        model = build_mixer_b16(init="zeros")
+        model = build_preset("mixer-b16", init="zeros")
         token = model.levels[0].blocks[0].token
         assert token.fc1.weight.shape == (196, 384)
         assert token.fc2.weight.shape == (384, 196)
@@ -149,7 +154,7 @@ class TestBuild:
 
     def test_cr_vertical_dims_scale_with_r(self):
         for r in (1, 2, 4):
-            model = build_mixer_b16(r, init="zeros")
+            model = build_preset(f"mixer-b16-cr{r}", init="zeros")
             token = model.levels[0].blocks[0].token
             assert token.vertical.fc1.weight.shape == (14 * r, 2 * 14 * r)
             assert token.horizontal.fc1.weight.shape == (14 * r, 2 * 14 * r)
@@ -163,6 +168,28 @@ class TestForward:
         a = forward(model, image).numpy()
         b = forward(model, image).numpy()
         assert np.array_equal(a, b)
+
+    def test_bitwise_repeatable_across_processes_at_one_thread(self):
+        # The determinism promise holds for a fixed BLAS thread count.
+        script = (
+            "import numpy as np, sys\n"
+            "from raftmlp import Tensor, build_preset, forward\n"
+            "image = Tensor(np.random.default_rng(0).normal(size=(3, 224, 224)), dtype='f32')\n"
+            "sys.stdout.write(forward(build_preset('raftmlp-s'), image).numpy().tobytes().hex())\n"
+        )
+        src = str(Path(raftmlp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                check=True, timeout=300,
+            ).stdout
+            for _ in range(2)
+        ]
+        assert len(runs[0]) == 1000 * 4 * 2
+        assert runs[0] == runs[1]
 
     def test_logit_length_and_finiteness(self):
         model = build_model(tiny32_config(), dtype="f64")
@@ -255,7 +282,7 @@ class TestParameterPlumbing:
         assert not any(n.startswith("final_norm") for n in names)
 
     def test_plain_token_names_have_no_direction(self):
-        model = build_mixer_b16(init="zeros")
+        model = build_preset("mixer-b16", init="zeros")
         names = set(named_parameters(model))
         assert "level1.block1.token.ln.gamma" in names
         assert "level1.block12.token.fc1.weight" in names
@@ -292,11 +319,6 @@ class TestParameterPlumbing:
 
 
 class TestBuilderHelpers:
-    def test_build_raftmlp_variant(self):
-        model = build_raftmlp("s", num_classes=10, init="zeros")
-        assert model.config.name == "raftmlp-s"
-        assert model.head.d_out == 10
-
     def test_build_preset_passes_kwargs(self):
         model = build_preset("raftmlp-s", init="zeros", num_classes=3)
         assert model.head.d_out == 3
