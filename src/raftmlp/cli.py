@@ -16,7 +16,7 @@ from .container import ContainerError, load_weights
 from .cost import cost_report
 from .models import (
     PRESETS,
-    build_model,
+    build_preset,
     forward,
     level_outputs,
     preset_config,
@@ -118,7 +118,7 @@ def _cmd_cost(args) -> int:
     # --resolution follows the adapter's runtime semantics: parameter
     # counts stay those of the native build, MAC counts move with the
     # token grid actually processed.
-    model = build_model(preset_config(args.preset), init="zeros")
+    model = build_preset(args.preset, init="zeros")
     report = cost_report(model, resolution=args.resolution)
     factor = 2 if args.flops_convention == "2macs" else 1
 
@@ -153,7 +153,7 @@ def _cmd_cost(args) -> int:
 
 
 def _load_model(preset: str, weights_path: str):
-    model = build_model(preset_config(preset), init="zeros")
+    model = build_preset(preset, init="zeros")
     return load_weights(model, weights_path)
 
 

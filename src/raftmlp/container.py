@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .models import Model, named_parameters, replace_parameters
+from .models import Model, _map_parameters, _mismatch, named_parameters
 from .tensor import Tensor
 
 MAGIC = b"RFTW"
@@ -134,19 +134,11 @@ def load_weights(model: Model, path) -> Model:
     does not.
     """
     tensors = load_tensors(path)
-    expected = named_parameters(model)
-    missing = sorted(set(expected) - set(tensors))
-    extra = sorted(set(tensors) - set(expected))
+    missing, extra, misfits = _mismatch(model, tensors)
     if missing or extra:
         raise ContainerNameError(
             f"container does not match the model: missing {missing}, extra {extra}"
         )
-    misfits = [
-        f"{name} is {tensors[name].dtype} {tensors[name].shape}, "
-        f"model has {want.dtype} {want.shape}"
-        for name, want in expected.items()
-        if (tensors[name].dtype, tensors[name].shape) != (want.dtype, want.shape)
-    ]
     if misfits:
         raise ContainerError("container tensors do not fit the model: " + "; ".join(misfits))
-    return replace_parameters(model, tensors)
+    return _map_parameters(model, lambda name, _: tensors[name])

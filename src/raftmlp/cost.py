@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import RaftTokenMixingParams
-from .models import Model
-from .tensor import Tensor
+from .models import Model, named_parameters
 
 
 def token_mixing_params_analytic(h_prime: int, w_prime: int, e: int) -> int:
@@ -163,22 +162,17 @@ class CostReport:
         }
 
 
-def _params_of(*tensors: Tensor) -> int:
-    return sum(t.size for t in tensors)
+def _params_under(sizes: dict, module: str) -> int:
+    """Summed sizes of the parameters under a row's name prefix.
 
-
-def _mixing_params(p) -> int:
-    return _params_of(p.ln.gamma, p.ln.beta, p.fc1.weight, p.fc1.bias, p.fc2.weight, p.fc2.bias)
+    ``level1.blocks`` covers ``level1.block*``; other rows are the prefix.
+    """
+    prefix = module[:-1] if module.endswith(".blocks") else module
+    return sum(n for name, n in sizes.items() if name.startswith(prefix))
 
 
 def _mixing_macs(p, sites: int) -> int:
     return sites * (p.fc1.d_in * p.fc1.d_out + p.fc2.d_in * p.fc2.d_out)
-
-
-def _token_params(p) -> int:
-    if isinstance(p, RaftTokenMixingParams):
-        return _mixing_params(p.vertical) + _mixing_params(p.horizontal)
-    return _mixing_params(p)
 
 
 def _token_macs(p, grid) -> int:
@@ -205,32 +199,20 @@ def cost_report(model: Model, resolution=None) -> CostReport:
     run_grids = config.grids(resolution)
     native_grids = config.grids()
 
-    rows = []
+    macs = {}
     for index, (level, run, native) in enumerate(
         zip(model.levels, run_grids, native_grids), start=1
     ):
-        embed_params = _params_of(level.embed.projection.weight, level.embed.projection.bias)
-        embed_macs = run.tokens * level.embed.projection.d_in * level.embed.projection.d_out
-        rows.append(CostRow(f"level{index}.embed", embed_params, embed_macs))
-
-        block_params = 0
-        block_macs = 0
-        for block in level.blocks:
-            block_params += _token_params(block.token) + _mixing_params(block.channel)
-            block_macs += _token_macs(block.token, native) + _mixing_macs(
-                block.channel, run.tokens
-            )
-        rows.append(CostRow(f"level{index}.blocks", block_params, block_macs))
-
+        proj = level.embed.projection
+        macs[f"level{index}.embed"] = run.tokens * proj.d_in * proj.d_out
+        macs[f"level{index}.blocks"] = sum(
+            _token_macs(block.token, native) + _mixing_macs(block.channel, run.tokens)
+            for block in level.blocks
+        )
     if model.final_norm is not None:
-        rows.append(
-            CostRow("final_norm", _params_of(model.final_norm.gamma, model.final_norm.beta), 0)
-        )
-    rows.append(
-        CostRow(
-            "head",
-            _params_of(model.head.weight, model.head.bias),
-            model.head.d_in * model.head.d_out,
-        )
-    )
-    return CostReport(name=config.name, resolution=resolution, rows=tuple(rows))
+        macs["final_norm"] = 0
+    macs["head"] = model.head.d_in * model.head.d_out
+
+    sizes = {name: tensor.size for name, tensor in named_parameters(model).items()}
+    rows = tuple(CostRow(module, _params_under(sizes, module), n) for module, n in macs.items())
+    return CostReport(name=config.name, resolution=resolution, rows=rows)

@@ -365,92 +365,44 @@ def level_outputs(model: Model, image: Tensor) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _linear_items(prefix: str, p: LinearParams):
-    yield f"{prefix}.weight", p.weight
-    yield f"{prefix}.bias", p.bias
+def _map_parameters(model: Model, fn) -> Model:
+    """Model rebuilt with every tensor replaced by ``fn(name, tensor)``.
 
+    This walk is the one place that spells parameter names. It visits
+    tensors in a fixed order (embed, each block's token then channel
+    mixing, final norm, head), which is the order of ``named_parameters``
+    and of saved weight files.
+    """
 
-def _ln_items(prefix: str, p: LayerNormParams):
-    yield f"{prefix}.gamma", p.gamma
-    yield f"{prefix}.beta", p.beta
-
-
-def _mixing_items(prefix: str, p: MixingParams):
-    yield from _ln_items(f"{prefix}.ln", p.ln)
-    yield from _linear_items(f"{prefix}.fc1", p.fc1)
-    yield from _linear_items(f"{prefix}.fc2", p.fc2)
-
-
-def _token_items(prefix: str, p: TokenParams):
-    if isinstance(p, RaftTokenMixingParams):
-        yield from _mixing_items(f"{prefix}.vertical", p.vertical)
-        yield from _mixing_items(f"{prefix}.horizontal", p.horizontal)
-    else:
-        yield from _mixing_items(prefix, p)
-
-
-def named_parameters(model: Model) -> dict:
-    """Stable name -> tensor mapping covering every stored scalar."""
-    items = {}
-
-    def put(pairs):
-        for name, tensor in pairs:
-            items[name] = tensor
-
-    for l, level in enumerate(model.levels, start=1):
-        put(_linear_items(f"level{l}.embed.proj", level.embed.projection))
-        for i, block in enumerate(level.blocks, start=1):
-            put(_token_items(f"level{l}.block{i}.token", block.token))
-            put(_mixing_items(f"level{l}.block{i}.channel", block.channel))
-    if model.final_norm is not None:
-        put(_ln_items("final_norm", model.final_norm))
-    put(_linear_items("head", model.head))
-    return items
-
-
-def replace_parameters(model: Model, params: Mapping[str, Tensor]) -> Model:
-    """New model with tensors substituted by name; the name sets must match."""
-    current = named_parameters(model)
-    missing = sorted(set(current) - set(params))
-    extra = sorted(set(params) - set(current))
-    if missing or extra:
-        raise ValueError(
-            f"parameter names do not match the model: missing {missing}, extra {extra}"
+    def lin(prefix, p):
+        return replace(
+            p, weight=fn(f"{prefix}.weight", p.weight), bias=fn(f"{prefix}.bias", p.bias)
         )
-    for name, tensor in params.items():
-        if tensor.shape != current[name].shape:
-            raise ValueError(
-                f"parameter {name!r} has shape {tensor.shape}, "
-                f"expected {current[name].shape}"
+
+    def ln(prefix, p):
+        return replace(p, gamma=fn(f"{prefix}.gamma", p.gamma), beta=fn(f"{prefix}.beta", p.beta))
+
+    def mix(prefix, p):
+        return replace(
+            p,
+            ln=ln(f"{prefix}.ln", p.ln),
+            fc1=lin(f"{prefix}.fc1", p.fc1),
+            fc2=lin(f"{prefix}.fc2", p.fc2),
+        )
+
+    def token(prefix, p):
+        if isinstance(p, RaftTokenMixingParams):
+            return replace(
+                p,
+                vertical=mix(f"{prefix}.vertical", p.vertical),
+                horizontal=mix(f"{prefix}.horizontal", p.horizontal),
             )
-
-    def lin(prefix, old):
-        return LinearParams(weight=params[f"{prefix}.weight"], bias=params[f"{prefix}.bias"])
-
-    def ln(prefix, old):
-        return LayerNormParams(
-            gamma=params[f"{prefix}.gamma"], beta=params[f"{prefix}.beta"], eps=old.eps
-        )
-
-    def mix(prefix, old):
-        return MixingParams(
-            ln=ln(f"{prefix}.ln", old.ln),
-            fc1=lin(f"{prefix}.fc1", old.fc1),
-            fc2=lin(f"{prefix}.fc2", old.fc2),
-        )
-
-    def token(prefix, old):
-        if isinstance(old, RaftTokenMixingParams):
-            return RaftTokenMixingParams(
-                vertical=mix(f"{prefix}.vertical", old.vertical),
-                horizontal=mix(f"{prefix}.horizontal", old.horizontal),
-                raft_size=old.raft_size,
-            )
-        return mix(prefix, old)
+        return mix(prefix, p)
 
     levels = []
     for l, level in enumerate(model.levels, start=1):
-        embed = replace(level.embed, projection=lin(f"level{l}.embed.proj", level.embed.projection))
+        projection = lin(f"level{l}.embed.proj", level.embed.projection)
+        embed = replace(level.embed, projection=projection)
         blocks = tuple(
             BlockParams(
                 token=token(f"level{l}.block{i}.token", block.token),
@@ -461,4 +413,50 @@ def replace_parameters(model: Model, params: Mapping[str, Tensor]) -> Model:
         levels.append(LevelParams(embed=embed, blocks=blocks))
     final = ln("final_norm", model.final_norm) if model.final_norm is not None else None
     head = lin("head", model.head)
-    return Model(config=model.config, levels=tuple(levels), head=head, final_norm=final)
+    return replace(model, levels=tuple(levels), head=head, final_norm=final)
+
+
+def named_parameters(model: Model) -> dict:
+    """Stable name -> tensor mapping covering every stored scalar."""
+    items = {}
+
+    def collect(name, tensor):
+        items[name] = tensor
+        return tensor
+
+    _map_parameters(model, collect)
+    return items
+
+
+def _mismatch(model: Model, params: Mapping[str, Tensor]) -> tuple:
+    """(missing names, extra names, misfits) of ``params`` against the model.
+
+    A misfit is a tensor whose dtype or shape differs from the model's
+    parameter of the same name; each is described in one string.
+    """
+    current = named_parameters(model)
+    missing = sorted(set(current) - set(params))
+    extra = sorted(set(params) - set(current))
+    misfits = [
+        f"{name} is {params[name].dtype} {params[name].shape}, "
+        f"model has {want.dtype} {want.shape}"
+        for name, want in current.items()
+        if name in params and (params[name].dtype, params[name].shape) != (want.dtype, want.shape)
+    ]
+    return missing, extra, misfits
+
+
+def replace_parameters(model: Model, params: Mapping[str, Tensor]) -> Model:
+    """New model with tensors substituted by name.
+
+    The name sets must match, and each tensor must have its parameter's
+    dtype and shape; otherwise ``ValueError`` lists every difference.
+    """
+    missing, extra, misfits = _mismatch(model, params)
+    if missing or extra:
+        raise ValueError(
+            f"parameter names do not match the model: missing {missing}, extra {extra}"
+        )
+    if misfits:
+        raise ValueError("parameters do not fit the model: " + "; ".join(misfits))
+    return _map_parameters(model, lambda name, _: params[name])

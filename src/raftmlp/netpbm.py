@@ -7,6 +7,9 @@ writing min-max normalizes to the 0..255 byte range.
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 
 from .tensor import Tensor
@@ -54,11 +57,14 @@ def read_ppm(path) -> Tensor:
             raise ImageFormatError(f"bad dimensions {width}x{height}")
         if maxval != 255:
             raise ImageFormatError(f"unsupported maxval {maxval}, expected 255")
-        raster = f.read(width * height * 3)
-        if len(raster) != width * height * 3:
-            raise ImageFormatError(
-                f"truncated raster: wanted {width * height * 3} bytes, got {len(raster)}"
-            )
+        wanted = width * height * 3
+        # The header can declare any size: read no more than a regular file
+        # holds, so a short file fails before a raster-sized buffer exists.
+        info = os.fstat(f.fileno())
+        held = info.st_size - f.tell() if stat.S_ISREG(info.st_mode) else wanted
+        raster = f.read(min(wanted, held))
+        if len(raster) != wanted:
+            raise ImageFormatError(f"truncated raster: wanted {wanted} bytes, got {len(raster)}")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
     return Tensor._wrap(
         np.ascontiguousarray(pixels.transpose(2, 0, 1)).astype(np.float32) / np.float32(255.0)

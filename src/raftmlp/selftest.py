@@ -220,9 +220,7 @@ def _check_residual_identity() -> str:
         raise CheckFailure("channel mixing with zero fc2 is not the identity")
 
     raft = init_raft_token_mixing(rng, grid, raft_size=2, dtype="f64")
-    raft = type(raft)(
-        vertical=_zeroed(raft.vertical), horizontal=_zeroed(raft.horizontal), raft_size=2
-    )
+    raft = replace(raft, vertical=_zeroed(raft.vertical), horizontal=_zeroed(raft.horizontal))
     if not np.array_equal(raft_token_mixing(x_tok, raft, grid).numpy(), x_tok.numpy()):
         raise CheckFailure("raft token mixing with zero fc2 is not the identity")
 

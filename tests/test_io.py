@@ -1,6 +1,8 @@
 """Weight container and netpbm image round trips, plus the error taxonomy."""
 
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +259,31 @@ class TestPpm:
         self._write_p6(path, 2, 2, [255] * 11)
         with pytest.raises(ImageFormatError, match="truncated"):
             read_ppm(path)
+
+    def test_short_file_fails_before_allocating_the_raster(self, tmp_path):
+        path = tmp_path / "huge.ppm"
+        self._write_p6(path, 3000, 3000, [])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ImageFormatError, match="truncated raster"):
+                read_ppm(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_reads_from_a_pipe(self):
+        # A pipe reports no size, so the raster check must not rely on one.
+        read_end, write_end = os.pipe()
+        with open(write_end, "wb") as f:
+            f.write(b"P6\n1 1\n255\n" + bytes([255, 0, 51]))
+        try:
+            got = read_ppm(f"/dev/fd/{read_end}").numpy()
+        finally:
+            os.close(read_end)
+        want = np.array([255, 0, 51], dtype=np.float32) / np.float32(255)
+        assert np.array_equal(got[:, 0, 0], want)
 
     def test_non_numeric_header_rejected(self, tmp_path):
         path = tmp_path / "garbled.ppm"

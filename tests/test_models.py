@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import raftmlp
 
 from raftmlp.blocks import channel_mixing, multi_scale_patch_embed, raft_token_mixing
+from raftmlp.cost import cost_report
 from raftmlp.models import (
     LevelConfig,
     ModelConfig,
@@ -311,6 +313,59 @@ class TestParameterPlumbing:
         params["head.bias"] = Tensor.zeros((7,), dtype="f64")
         with pytest.raises(ValueError):
             replace_parameters(model, params)
+
+        model = build_preset("raftmlp-s", init="zeros")
+        params = {
+            name: Tensor(t.numpy().astype(np.float64), dtype="f64")
+            for name, t in named_parameters(model).items()
+        }
+        with pytest.raises(ValueError) as exc_info:
+            replace_parameters(model, params)
+        message = str(exc_info.value)
+        for name, t in params.items():
+            assert f"{name} is f64 {t.shape}, model has f32 {t.shape}" in message
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(data=st.data())
+    def test_walk_agrees_on_random_configs(self, data):
+        levels = []
+        for _ in range(data.draw(st.integers(1, 2), label="levels")):
+            channels = data.draw(st.sampled_from([2, 4, 6]))
+            stride = data.draw(st.sampled_from([1, 2, 4]))
+            scales = data.draw(st.sampled_from([(0,), (0, 1)] if stride % 2 == 0 else [(0,)]))
+            if data.draw(st.booleans(), label="raft"):
+                mixing = dict(
+                    raft_size=data.draw(st.sampled_from([1, 2])),
+                    e_ver=data.draw(st.integers(1, 2)),
+                    e_hor=data.draw(st.integers(1, 2)),
+                )
+            else:
+                mixing = dict(mixing="plain", token_hidden=data.draw(st.integers(1, 6)))
+            levels.append(
+                LevelConfig(
+                    channels=channels,
+                    depth=data.draw(st.integers(1, 2)),
+                    stride=stride,
+                    scales=scales,
+                    e_chan=data.draw(st.integers(1, 2)),
+                    **mixing,
+                )
+            )
+        total = int(np.prod([lvl.stride for lvl in levels]))
+        h, w = (total * data.draw(st.integers(1, 3)) for _ in range(2))
+        config = ModelConfig(
+            name="random",
+            levels=tuple(levels),
+            num_classes=data.draw(st.integers(1, 4)),
+            resolution=(h, w),
+            final_norm=data.draw(st.booleans()),
+        )
+        model = build_model(config)
+        params = named_parameters(model)
+        assert cost_report(model).params_total == sum(t.size for t in params.values())
+        clone = named_parameters(replace_parameters(model, params))
+        assert list(clone) == list(params)
+        assert all(clone[name] is t for name, t in params.items())
 
     def test_counts_match_between_inits(self):
         zeros = named_parameters(build_preset("raftmlp-s", init="zeros"))
