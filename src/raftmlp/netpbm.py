@@ -15,6 +15,10 @@ import numpy as np
 from .tensor import Tensor
 
 
+# Bytes per read from an input that reports no size.
+_CHUNK = 1 << 20
+
+
 class ImageFormatError(ValueError):
     """Malformed or unsupported netpbm data."""
 
@@ -59,10 +63,18 @@ def read_ppm(path) -> Tensor:
             raise ImageFormatError(f"unsupported maxval {maxval}, expected 255")
         wanted = width * height * 3
         # The header can declare any size: read no more than a regular file
-        # holds, so a short file fails before a raster-sized buffer exists.
+        # holds, and a pipe (which reports no size) in bounded chunks, so a
+        # short input fails before a raster-sized buffer exists.
         info = os.fstat(f.fileno())
-        held = info.st_size - f.tell() if stat.S_ISREG(info.st_mode) else wanted
-        raster = f.read(min(wanted, held))
+        if stat.S_ISREG(info.st_mode):
+            raster = f.read(min(wanted, info.st_size - f.tell()))
+        else:
+            raster = bytearray()
+            while len(raster) < wanted:
+                chunk = f.read(min(_CHUNK, wanted - len(raster)))
+                if not chunk:
+                    break
+                raster += chunk
         if len(raster) != wanted:
             raise ImageFormatError(f"truncated raster: wanted {wanted} bytes, got {len(raster)}")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)

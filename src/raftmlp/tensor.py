@@ -116,11 +116,28 @@ def _same_dtype(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeError(f"{op}: dtype mismatch ({a.dtype} vs {b.dtype})")
 
 
+# Below this many elements the copy that row-order summing makes costs more
+# than accumulate does.
+_ROW_SUM_MIN = 4096
+
+
 def seq_sum(arr: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
     """Sum along one axis in strict left-to-right accumulation order."""
-    if arr.shape[axis] == 0:
+    n = arr.shape[axis]
+    if n == 0:
         raise ShapeError("seq_sum over an empty axis")
-    out = np.add.accumulate(arr, axis=axis).take(-1, axis=axis)
+    rest = arr.size // n
+    # One output (rest == 1) would be a 1-D reduce, which numpy sums pairwise.
+    if rest > 1 and arr.size >= _ROW_SUM_MIN:
+        # With the summed axis outermost and contiguous, reduce adds whole
+        # rows one after another, so each output is still summed in order.
+        # Starting from -0.0 keeps the first row's bits (an all -0.0 column
+        # sums to -0.0, as with accumulate).
+        moved = np.moveaxis(arr, axis, 0)
+        rows = np.ascontiguousarray(moved).reshape(n, rest)
+        out = np.add.reduce(rows, axis=0, initial=-0.0).reshape(moved.shape[1:])
+    else:
+        out = np.add.accumulate(arr, axis=axis).take(-1, axis=axis)
     if keepdims:
         out = np.expand_dims(out, axis)
     return out

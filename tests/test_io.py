@@ -285,6 +285,22 @@ class TestPpm:
         want = np.array([255, 0, 51], dtype=np.float32) / np.float32(255)
         assert np.array_equal(got[:, 0, 0], want)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_short_pipe_fails_before_allocating_the_raster(self):
+        # 27 MB declared, a few bytes sent: a pipe is read in bounded chunks.
+        read_end, write_end = os.pipe()
+        with open(write_end, "wb") as f:
+            f.write(b"P6\n3000 3000\n255\n" + bytes(10))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ImageFormatError, match="truncated raster"):
+                read_ppm(f"/dev/fd/{read_end}")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            os.close(read_end)
+        assert peak < 4 << 20
+
     def test_non_numeric_header_rejected(self, tmp_path):
         path = tmp_path / "garbled.ppm"
         path.write_bytes(b"P6\nwide 1\n255\n")

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from raftmlp import ops
 from raftmlp.ops import (
     LayerNormParams,
     LinearParams,
@@ -141,6 +143,39 @@ class TestGelu:
         xs = np.array([8.0, 12.0, 20.0])
         ys = gelu(Tensor(xs)).numpy()
         assert np.max(np.abs(ys - xs)) < 1e-12
+
+    # f32 evaluates erf with a rational approximation; these bound its error
+    # against the f64 path on the same f32 inputs.
+    F32_GRID = np.linspace(-30.0, 30.0, 600_001).astype(np.float32)
+
+    def test_f32_within_2e6_of_f64(self):
+        got = gelu(Tensor(self.F32_GRID, dtype="f32")).numpy()
+        want = gelu(Tensor(self.F32_GRID, dtype="f64")).numpy()
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - want)) <= 2e-6
+
+    def test_f32_derivative_within_1e6_of_f64(self):
+        got = ops._gelu_derivative(self.F32_GRID)
+        want = ops._gelu_derivative(self.F32_GRID.astype(np.float64))
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - want)) <= 1e-6
+
+    def test_f32_erf_within_8_ulp(self):
+        z = np.linspace(-4.0, 4.0, 2_000_001).astype(np.float32)
+        got = ops._erf_f32(z.copy(), np.empty_like(z), np.empty_like(z))
+        want = erf(z.astype(np.float64)).astype(np.float32)
+
+        def ordinal(a):
+            # f32 bit patterns as integers that count ulps across zero.
+            bits = a.view(np.int32).astype(np.int64)
+            return np.where(bits < 0, -(bits & 0x7FFFFFFF), bits)
+
+        assert np.max(np.abs(ordinal(got) - ordinal(want))) <= 8
+
+    def test_f32_monotone_on_nonnegative(self):
+        xs = np.linspace(0.0, 6.0, 600_001).astype(np.float32)
+        ys = gelu(Tensor(xs, dtype="f32")).numpy()
+        assert (np.diff(ys) >= 0.0).all()
 
 
 class TestGlobalAvgPool:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from raftmlp.tensor import (
     PatchGrid,
@@ -163,6 +164,15 @@ class TestConcat:
             concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))], axis=1)
 
 
+@st.composite
+def _seq_sum_cases(draw):
+    """(shape, axis, dtype): 1-4 axes, one of them up to 3000 long."""
+    shape = draw(st.lists(st.integers(1, 6), min_size=0, max_size=3))
+    shape.insert(draw(st.integers(0, len(shape))), draw(st.integers(1, 3000)))
+    axis = draw(st.integers(-len(shape), len(shape) - 1))
+    return tuple(shape), axis, draw(st.sampled_from(["float32", "float64"]))
+
+
 class TestSeqSum:
     def test_left_to_right_order(self):
         # Summing left to right is a fixed, reproducible order: the result
@@ -185,6 +195,28 @@ class TestSeqSum:
     def test_keepdims(self):
         arr = np.ones((2, 3))
         assert seq_sum(arr, axis=1, keepdims=True).shape == (2, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_seq_sum_cases(), seed=st.integers(0, 2**32 - 1), keepdims=st.booleans())
+    # Above the cutover, with some all -0.0 columns; below it; one output.
+    @example(case=((2, 4096), 0, "float32"), seed=0, keepdims=False)
+    @example(case=((7, 9), 0, "float64"), seed=0, keepdims=True)
+    @example(case=((5000, 1), 0, "float32"), seed=0, keepdims=False)
+    def test_bitwise_equal_to_running_sum(self, case, seed, keepdims):
+        # The last running sum is the left-to-right sum by definition; both
+        # code paths (small or 1-D input, and row order) must give its bits,
+        # signed zeros included.
+        shape, axis, dtype = case
+        rng = np.random.default_rng(seed)
+        arr = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 6, shape)
+        arr[rng.random(shape) < 0.05] = -0.0
+        arr = arr.astype(dtype)
+        want = np.add.accumulate(arr, axis=axis).take(-1, axis=axis)
+        if keepdims:
+            want = np.expand_dims(want, axis)
+        got = seq_sum(arr, axis=axis, keepdims=keepdims)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestUnfold:
