@@ -99,10 +99,6 @@ class EmbedParams:
     def c_out(self) -> int:
         return self.projection.d_out
 
-    def patch_dims(self, c_in: int) -> int:
-        """Pre-projection channel count for a c_in-channel input."""
-        return c_in * sum((2**m * self.stride) ** 2 for m in self.scales)
-
 
 def mixing_mlp(x: Tensor, p: MixingParams, to_mlp: RearrangeSpec | None = None) -> Tensor:
     """Residual MLP with the norm on the input layout and the MLP on ``to_mlp``'s."""
@@ -167,6 +163,11 @@ def channel_mixing(x: Tensor, p: MixingParams) -> Tensor:
     return mixing_mlp(x, p, None)
 
 
+def _patch_dims(c_in: int, stride: int, scales) -> int:
+    """Pre-projection channel count of a c_in-channel multi-scale unfolding."""
+    return c_in * sum((2**m * stride) ** 2 for m in scales)
+
+
 def multi_scale_patch_embed(x: Tensor, p: EmbedParams) -> Tensor:
     """Embed a [c_in, h, w] image into [(h/p)*(w/p), c_out] tokens.
 
@@ -183,10 +184,11 @@ def multi_scale_patch_embed(x: Tensor, p: EmbedParams) -> Tensor:
         raise ShapeError(
             f"multi_scale_patch_embed: image {h}x{w} not divisible by stride {stride}"
         )
-    if p.projection.d_in != p.patch_dims(c_in):
+    d_in = _patch_dims(c_in, stride, p.scales)
+    if p.projection.d_in != d_in:
         raise ShapeError(
             f"multi_scale_patch_embed: projection expects {p.projection.d_in} "
-            f"channels, unfolding yields {p.patch_dims(c_in)}"
+            f"channels, unfolding yields {d_in}"
         )
     pieces = []
     for m in p.scales:
@@ -291,9 +293,8 @@ def init_embed(
     dtype: str = "f32",
 ) -> EmbedParams:
     scales = tuple(sorted(scales))
-    d_in = c_in * sum((2**m * stride) ** 2 for m in scales)
     return EmbedParams(
         stride=stride,
         scales=scales,
-        projection=init_linear(rng, d_in, c_out, dtype=dtype),
+        projection=init_linear(rng, _patch_dims(c_in, stride, scales), c_out, dtype=dtype),
     )

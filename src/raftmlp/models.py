@@ -6,18 +6,24 @@ mixing). The classifier is global average pooling plus one linear layer.
 
 Presets
 -------
+``PRESETS`` maps each name to its ``ModelConfig`` (224 x 224 input, 1000
+classes, seed 0); ``preset_config`` and ``build_preset`` take a name and
+override ``num_classes``, ``resolution`` and ``seed``. Every level uses
+the ``LevelConfig`` defaults where the table below names nothing: raft
+token mixing at raft size 2, directional expansions 2 and 2, channel
+expansion 4, and the single scale {0}.
+
 raftmlp-s / raftmlp-m / raftmlp-l
-    Four levels, strides (4, 2, 2, 2), depths (2, 2, 6, 2), raft token
-    mixing with raft size 2, multi-scale embedding with scales {0, 1} on
-    the first three levels and {0} on the last. Channels:
+    Four levels, strides (4, 2, 2, 2), depths (2, 2, 6, 2), scales
+    {0, 1} on the first three levels and {0} on the last. Channels:
     S (64, 128, 256, 512), M (96, 192, 384, 768), L (128, 192, 512, 1024).
 mixer-b16
     Single level, stride-16 patches, 768 channels, 12 blocks, plain
-    token mixing with a 384-wide hidden layer, channel expansion 4, and
-    a final layer norm before pooling.
+    token mixing with a 384-wide hidden layer, and a final layer norm
+    before pooling.
 mixer-b16-cr1 / -cr2 / -cr4
-    mixer-b16 with each plain token-mixing block swapped for raft token
-    mixing (expansion 2) at raft size 1, 2, or 4.
+    mixer-b16 with raft token mixing at raft size 1, 2 or 4 in place of
+    plain token mixing.
 """
 
 from __future__ import annotations
@@ -102,15 +108,7 @@ class ModelConfig:
             raise ValueError("ModelConfig: at least one level")
         if self.num_classes < 1:
             raise ValueError("ModelConfig: num_classes must be >= 1")
-        h, w = self.resolution
-        for i, lvl in enumerate(self.levels, start=1):
-            if h % lvl.stride or w % lvl.stride:
-                raise ValueError(
-                    f"ModelConfig: level {i} stride {lvl.stride} does not divide "
-                    f"the incoming {h}x{w} map"
-                )
-            h //= lvl.stride
-            w //= lvl.stride
+        self.grids()
 
     @property
     def total_stride(self) -> int:
@@ -118,12 +116,14 @@ class ModelConfig:
 
     def grids(self, resolution: Optional[tuple] = None) -> tuple:
         """Per-level token grids at the given (default: configured) resolution."""
-        h, w = resolution or self.resolution
+        resolution = resolution or self.resolution
+        h, w = resolution
         out = []
-        for lvl in self.levels:
+        for i, lvl in enumerate(self.levels, start=1):
             if h % lvl.stride or w % lvl.stride:
                 raise ValueError(
-                    f"resolution {resolution} is not divisible by the level strides"
+                    f"resolution {resolution}: level {i} stride {lvl.stride} does not divide "
+                    f"the incoming {h}x{w} map"
                 )
             h //= lvl.stride
             w //= lvl.stride
@@ -199,96 +199,43 @@ def build_model(config: ModelConfig, init: str = "trunc_normal", dtype: str = "f
 # Presets
 # ---------------------------------------------------------------------------
 
-_RAFT_CHANNELS = {
-    "s": (64, 128, 256, 512),
-    "m": (96, 192, 384, 768),
-    "l": (128, 192, 512, 1024),
-}
-_RAFT_DEPTHS = (2, 2, 6, 2)
-_RAFT_STRIDES = (4, 2, 2, 2)
-_RAFT_SCALES = ((0, 1), (0, 1), (0, 1), (0,))
 
-
-def raftmlp_config(
-    variant: str,
-    num_classes: int = 1000,
-    resolution: tuple = (224, 224),
-    seed: int = 0,
-) -> ModelConfig:
-    variant = variant.lower()
-    if variant not in _RAFT_CHANNELS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of s, m, l")
+def _raftmlp(variant: str, channels: tuple) -> ModelConfig:
+    strides, depths, scales = (4, 2, 2, 2), (2, 2, 6, 2), ((0, 1), (0, 1), (0, 1), (0,))
     levels = tuple(
-        LevelConfig(
-            channels=c,
-            depth=d,
-            stride=p,
-            scales=sc,
-            raft_size=2,
-            e_ver=2,
-            e_hor=2,
-            e_chan=4,
-        )
-        for c, d, p, sc in zip(_RAFT_CHANNELS[variant], _RAFT_DEPTHS, _RAFT_STRIDES, _RAFT_SCALES)
+        LevelConfig(channels=c, depth=d, stride=s, scales=sc)
+        for c, d, s, sc in zip(channels, depths, strides, scales)
     )
-    return ModelConfig(
-        name=f"raftmlp-{variant}",
-        levels=levels,
-        num_classes=num_classes,
-        resolution=resolution,
-        final_norm=False,
-        seed=seed,
-    )
+    return ModelConfig(name=f"raftmlp-{variant}", levels=levels)
 
 
-def mixer_b16_config(
-    raft_size: Optional[int] = None,
-    num_classes: int = 1000,
-    resolution: tuple = (224, 224),
-    seed: int = 0,
-) -> ModelConfig:
-    if raft_size is None:
-        level = LevelConfig(
-            channels=768, depth=12, stride=16, scales=(0,),
-            mixing="plain", token_hidden=384, e_chan=4,
-        )
-        name = "mixer-b16"
-    else:
-        if raft_size not in (1, 2, 4):
-            raise ValueError(f"raft_size must be 1, 2 or 4, got {raft_size}")
-        level = LevelConfig(
-            channels=768, depth=12, stride=16, scales=(0,),
-            mixing="raft", raft_size=raft_size, e_ver=2, e_hor=2, e_chan=4,
-        )
-        name = f"mixer-b16-cr{raft_size}"
-    return ModelConfig(
-        name=name,
-        levels=(level,),
-        num_classes=num_classes,
-        resolution=resolution,
-        final_norm=True,
-        seed=seed,
-    )
+def _mixer_b16(suffix: str, **token_mixing) -> ModelConfig:
+    level = LevelConfig(channels=768, depth=12, stride=16, **token_mixing)
+    return ModelConfig(name=f"mixer-b16{suffix}", levels=(level,), final_norm=True)
 
 
 PRESETS = {
-    "raftmlp-s": lambda **kw: raftmlp_config("s", **kw),
-    "raftmlp-m": lambda **kw: raftmlp_config("m", **kw),
-    "raftmlp-l": lambda **kw: raftmlp_config("l", **kw),
-    "mixer-b16": lambda **kw: mixer_b16_config(None, **kw),
-    "mixer-b16-cr1": lambda **kw: mixer_b16_config(1, **kw),
-    "mixer-b16-cr2": lambda **kw: mixer_b16_config(2, **kw),
-    "mixer-b16-cr4": lambda **kw: mixer_b16_config(4, **kw),
+    config.name: config
+    for config in (
+        _raftmlp("s", (64, 128, 256, 512)),
+        _raftmlp("m", (96, 192, 384, 768)),
+        _raftmlp("l", (128, 192, 512, 1024)),
+        _mixer_b16("", mixing="plain", token_hidden=384),
+        *(_mixer_b16(f"-cr{r}", raft_size=r) for r in (1, 2, 4)),
+    )
 }
 
 
-def preset_config(name: str, **kwargs) -> ModelConfig:
+def preset_config(
+    name: str, num_classes: int = 1000, resolution: tuple = (224, 224), seed: int = 0
+) -> ModelConfig:
+    """``PRESETS[name]`` with the given class count, input resolution and init seed."""
     try:
-        factory = PRESETS[name]
+        config = PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise ValueError(f"unknown preset {name!r}; known presets: {known}") from None
-    return factory(**kwargs)
+    return replace(config, num_classes=num_classes, resolution=resolution, seed=seed)
 
 
 def build_preset(name: str, init: str = "trunc_normal", dtype: str = "f32", **kwargs) -> Model:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from raftmlp import ops
 from raftmlp.autograd import backward, grad_check, trace
 from raftmlp.ops import LayerNormParams, LinearParams, gelu, layer_norm, linear, softmax
 from raftmlp.rearrange import rearrange
+from raftmlp.selftest import gradcheck_functional, gradcheck_suite
 from raftmlp.tensor import Tensor, add, concat, map_unary, matmul, mul, sum_all, unfold
 
 # d/dx gelu at 1, from the same 50-digit oracle as the forward table.
@@ -167,3 +169,20 @@ class TestGradCheck:
         assert report.step == 1e-5
         assert report.coords_checked == 3
         assert report.max_abs_err >= 0.0
+
+    @pytest.mark.parametrize("block", ["channel", "raft"])
+    def test_gelu_derivative_one_percent_off_fails(self, block, monkeypatch):
+        derivative = ops._gelu_derivative
+        monkeypatch.setattr(ops, "_gelu_derivative", lambda a: derivative(a) * 1.01)
+        for seed in range(3):
+            f, x = gradcheck_functional(block, seed)
+            report = grad_check(f, x, h=1e-5, max_coords=40, seed=seed)
+            assert report.max_rel_err > 1e-5, (block, seed)
+
+    def test_near_zero_coordinate_is_judged_at_the_gradient_scale(self):
+        # Seed 105004 has a raft input coordinate, (9, 2), whose gradient is
+        # 3e-7 of the largest; its central-difference noise (5e-10) read as
+        # a relative error of 3.8e-4 when each coordinate was its own scale.
+        [(result, report)] = gradcheck_suite("raft", seeds=(105004,))
+        assert result.ok, result.detail
+        assert report.max_abs_err < 1e-8

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,8 @@ from raftmlp.models import (
     build_preset,
     forward,
     level_outputs,
-    mixer_b16_config,
     named_parameters,
     preset_config,
-    raftmlp_config,
     replace_parameters,
 )
 from raftmlp.ops import global_avg_pool, linear
@@ -89,23 +88,29 @@ class TestPresetConfigs:
         assert config.final_norm is True
 
     def test_unknown_preset_lists_names(self):
-        with pytest.raises(ValueError) as exc_info:
-            preset_config("raftmlp-xl")
-        message = str(exc_info.value)
-        assert "raftmlp-xl" in message
-        for name in PRESETS:
-            assert name in message
+        for unknown in ("raftmlp-xl", "mixer-b16-cr3"):
+            with pytest.raises(ValueError) as exc_info:
+                preset_config(unknown)
+            message = str(exc_info.value)
+            assert repr(unknown) in message
+            for name in PRESETS:
+                assert name in message
 
-    def test_invalid_mixer_raft_size(self):
-        with pytest.raises(ValueError):
-            mixer_b16_config(3)
-
-    def test_invalid_raft_variant(self):
-        with pytest.raises(ValueError):
-            raftmlp_config("xxl")
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_overrides_change_only_their_fields(self, name):
+        base = preset_config(name)
+        assert (base.num_classes, base.resolution, base.seed) == (1000, (224, 224), 0)
+        overrides = {"num_classes": 3, "resolution": (256, 256), "seed": 7}
+        config = preset_config(name, **overrides)
+        for field in fields(ModelConfig):
+            want = overrides.get(field.name, getattr(base, field.name))
+            assert getattr(config, field.name) == want, field.name
+        assert PRESETS[name] == base
+        with pytest.raises(TypeError):
+            preset_config(name, final_norm=False)
 
     def test_resolution_must_divide(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="level 3 stride 2 does not divide the incoming 25x28"):
             preset_config("raftmlp-s", resolution=(200, 224))
 
     def test_config_validation(self):

@@ -1,9 +1,11 @@
 """Rearrangement DSL: parser errors, index-loop oracle, roundtrips."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from raftmlp.rearrange import (
     RearrangeError,
@@ -205,3 +207,56 @@ class TestInvert:
         y = apply_rearrange(spec, x)
         back = apply_rearrange(invert(spec), y)
         assert np.array_equal(back.numpy(), x.numpy())
+
+
+def _grouped(draw, order):
+    """Split an axis order into consecutive groups at random cut points."""
+    cuts = [i for i in range(1, len(order)) if draw(st.booleans())]
+    bounds = [0, *cuts, len(order)]
+    return tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def _side(groups):
+    return " ".join(g[0] if len(g) == 1 else "(" + " ".join(g) + ")" for g in groups)
+
+
+@st.composite
+def _rearrange_cases(draw):
+    names = [f"a{i}" for i in range(draw(st.integers(1, 4)))]
+    sizes = {a: draw(st.integers(1, 4)) for a in names}
+    lhs = _grouped(draw, draw(st.permutations(names)))
+    rhs = _grouped(draw, draw(st.permutations(names)))
+    # Leave the last axis of every input group to inference from the shape.
+    bindings = {a: sizes[a] for g in lhs for a in g[:-1]}
+    return lhs, rhs, sizes, bindings
+
+
+class TestRandomPatterns:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        case=_rearrange_cases(),
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from(["f32", "f64"]),
+    )
+    def test_roundtrip_and_reshape_transpose_oracle(self, case, seed, dtype):
+        lhs, rhs, sizes, bindings = case
+        spec = parse_rearrange(f"{_side(lhs)} -> {_side(rhs)}", bindings)
+        shape = tuple(math.prod(sizes[a] for a in g) for g in lhs)
+        x = Tensor(np.random.default_rng(seed).normal(size=shape), dtype=dtype)
+
+        y = apply_rearrange(spec, x)
+        flat_lhs = [a for g in lhs for a in g]
+        flat_rhs = [a for g in rhs for a in g]
+        want = np.reshape(
+            np.transpose(
+                np.reshape(x.numpy(), [sizes[a] for a in flat_lhs]),
+                [flat_lhs.index(a) for a in flat_rhs],
+            ),
+            [math.prod(sizes[a] for a in g) for g in rhs],
+        )
+        assert y.shape == want.shape
+        assert y.numpy().tobytes() == want.tobytes()
+
+        back = apply_rearrange(invert(bind_shape(spec, shape)), y)
+        assert back.shape == x.shape
+        assert back.numpy().tobytes() == x.numpy().tobytes()
