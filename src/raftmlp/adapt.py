@@ -10,7 +10,8 @@ exactly at the native resolution.
 
 The image itself is first snapped to the nearest multiple of the total
 level stride (round half up, minimum one stride) so every level's
-unfolding tiles evenly.
+unfolding tiles evenly. Each extent may be at most ``MAX_EXTENT``
+pixels; larger images are refused before anything is resampled.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ from __future__ import annotations
 from .models import Model, _classify, _run_levels, token_mix
 from .ops import bicubic_resize
 from .rearrange import rearrange
-from .tensor import PatchGrid, Tensor
+from .tensor import PatchGrid, ShapeError, Tensor
+
+# Activations grow with the pixel count: at 1024 x 1024 an f32 raftmlp-l
+# forward_adapted peaks about 0.6 GB above the model's own weights.
+MAX_EXTENT = 1024
 
 
 def pre_embed_resize(image: Tensor, total_stride: int) -> Tensor:
@@ -61,6 +66,11 @@ def adapted_token_mixing(
 
 
 def forward_adapted(model: Model, image: Tensor) -> Tensor:
-    """Logits for a [3, h, w] image of any size >= 1 in each extent."""
+    """Logits for a [3, h, w] image with 1 <= h, w <= ``MAX_EXTENT``."""
+    if image.rank == 3 and max(image.shape[1:]) > MAX_EXTENT:
+        raise ShapeError(
+            f"forward_adapted: image {image.shape[1]}x{image.shape[2]} exceeds "
+            f"the {MAX_EXTENT}-pixel cap on each extent"
+        )
     image = pre_embed_resize(image, model.config.total_stride)
     return _classify(model, _run_levels(model, image, adapted_token_mixing)[-1])

@@ -28,8 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import LayerNormParams, LinearParams, gelu, layer_norm, linear
-from .rearrange import RearrangeSpec, apply_rearrange, bind_shape, invert, parse_rearrange
+from . import _tape
+from .ops import (
+    LayerNormParams,
+    LinearParams,
+    _check_layer_norm,
+    _check_linear,
+    _gelu_forward,
+    _layer_norm_array,
+    _linear_array,
+    gelu,
+    layer_norm,
+    linear,
+)
+from .rearrange import RearrangeSpec, _apply_np, apply_rearrange, bind_shape, invert, parse_rearrange
 from .tensor import PatchGrid, ShapeError, Tensor, add, concat, unfold
 
 
@@ -100,20 +112,48 @@ class EmbedParams:
         return self.projection.d_out
 
 
+def _check_mlp_axis(shape: tuple, p: MixingParams) -> None:
+    if shape[-1] != p.fc1.d_in:
+        raise ShapeError(f"mixing_mlp: MLP axis {shape[-1]} != fc1 input {p.fc1.d_in}")
+
+
 def mixing_mlp(x: Tensor, p: MixingParams, to_mlp: RearrangeSpec | None = None) -> Tensor:
-    """Residual MLP with the norm on the input layout and the MLP on ``to_mlp``'s."""
+    """Residual MLP with the norm on the input layout and the MLP on ``to_mlp``'s.
+
+    Outside an autograd trace it runs untaped, on plain arrays: the same
+    floating-point steps in the same order, so the same bits, with the
+    bias adds, GELU and the residual add in place and one finiteness
+    check at the output instead of one per step. A NaN or Inf raised on
+    the way reaches the output, since GELU and the matmuls carry it on.
+    """
+    if _tape.active() is None:
+        return _untaped_mixing_mlp(x, p, to_mlp)
     y = layer_norm(x, p.ln)
     if to_mlp is not None:
         to_mlp = bind_shape(to_mlp, y.shape)
         y = apply_rearrange(to_mlp, y)
-    if y.shape[-1] != p.fc1.d_in:
-        raise ShapeError(
-            f"mixing_mlp: MLP axis {y.shape[-1]} != fc1 input {p.fc1.d_in}"
-        )
+    _check_mlp_axis(y.shape, p)
     y = linear(gelu(linear(y, p.fc1)), p.fc2)
     if to_mlp is not None:
         y = apply_rearrange(invert(to_mlp), y)
     return add(x, y)
+
+
+def _untaped_mixing_mlp(x: Tensor, p: MixingParams, to_mlp: RearrangeSpec | None) -> Tensor:
+    _check_layer_norm(x.shape, x.dtype, p.ln)
+    y = _layer_norm_array(x.numpy(), p.ln)
+    if to_mlp is not None:
+        to_mlp = bind_shape(to_mlp, y.shape)
+        y = _apply_np(to_mlp.lhs, to_mlp.rhs, to_mlp.bindings, y)
+    _check_mlp_axis(y.shape, p)
+    _check_linear(y.shape, x.dtype, p.fc1)
+    y = _gelu_forward(_linear_array(y, p.fc1), inplace=True)
+    _check_linear(y.shape, x.dtype, p.fc2)
+    y = _linear_array(y, p.fc2)
+    if to_mlp is not None:
+        y = _apply_np(to_mlp.rhs, to_mlp.lhs, to_mlp.bindings, y)
+    y += x.numpy()
+    return Tensor._wrap(y)
 
 
 def vertical_mixing(x: Tensor, p: MixingParams) -> Tensor:

@@ -2,7 +2,9 @@
 
 Every op validates shapes, produces finite outputs, and registers a
 vector-Jacobian product on the active trace so the autograd module can
-differentiate through it.
+differentiate through it. The ``_*_array`` helpers do an op's arithmetic,
+step for step, on plain arrays for the untaped mixing MLP; they record
+nothing, and the caller validates shapes and finiteness.
 """
 
 from __future__ import annotations
@@ -73,12 +75,23 @@ class LayerNormParams:
         return self.gamma.shape[0]
 
 
+def _check_linear(shape: tuple, dtype: str, p: LinearParams) -> None:
+    if len(shape) < 1 or shape[-1] != p.d_in:
+        raise ShapeError(f"linear: input shape {shape} does not end in d_in={p.d_in}")
+    if dtype != p.weight.dtype:
+        raise ShapeError(f"linear: dtype mismatch ({dtype} vs {p.weight.dtype})")
+
+
+def _linear_array(arr: np.ndarray, p: LinearParams) -> np.ndarray:
+    """Untaped ``linear`` on a checked array, the bias added in place."""
+    y = arr.reshape(-1, p.d_in) @ p.weight.numpy()
+    y += p.bias.numpy()
+    return y.reshape(arr.shape[:-1] + (p.d_out,))
+
+
 def linear(x: Tensor, p: LinearParams) -> Tensor:
     """y[..., j] = sum_i x[..., i] * W[i, j] + b[j] at every leading site."""
-    if x.rank < 1 or x.shape[-1] != p.d_in:
-        raise ShapeError(f"linear: input shape {x.shape} does not end in d_in={p.d_in}")
-    if x.dtype != p.weight.dtype:
-        raise ShapeError(f"linear: dtype mismatch ({x.dtype} vs {p.weight.dtype})")
+    _check_linear(x.shape, x.dtype, p)
     arr = x.numpy()
     x2 = arr.reshape(-1, p.d_in)
     w = p.weight.numpy()
@@ -97,23 +110,42 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     return out
 
 
+def _check_layer_norm(shape: tuple, dtype: str, p: LayerNormParams) -> None:
+    if len(shape) < 1 or shape[-1] != p.dim:
+        raise ShapeError(f"layer_norm: trailing axis of {shape} != {p.dim}")
+    if dtype != p.gamma.dtype:
+        raise ShapeError(f"layer_norm: dtype mismatch ({dtype} vs {p.gamma.dtype})")
+
+
+def _normalize(arr: np.ndarray, eps: float):
+    """(x - mean) / sqrt(var + eps) over the trailing axis, and its 1 / sqrt factor."""
+    c = arr.shape[-1]
+    mean = seq_sum(arr, axis=-1, keepdims=True) / c
+    xhat = arr - mean
+    var = seq_sum(xhat * xhat, axis=-1, keepdims=True) / c
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=arr.dtype))
+    xhat *= inv
+    return xhat, inv
+
+
+def _layer_norm_array(arr: np.ndarray, p: LayerNormParams) -> np.ndarray:
+    """Untaped ``layer_norm`` on a checked array, scaled and shifted in place."""
+    y, _ = _normalize(arr, p.eps)
+    y *= p.gamma.numpy()
+    y += p.beta.numpy()
+    return y
+
+
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     """Normalize the trailing axis to zero mean / unit variance, then scale-shift.
 
     Population variance (divisor c); the trailing axis must match the
     parameter length.
     """
+    _check_layer_norm(x.shape, x.dtype, p)
     c = p.dim
-    if x.rank < 1 or x.shape[-1] != c:
-        raise ShapeError(f"layer_norm: trailing axis of {x.shape} != {c}")
-    if x.dtype != p.gamma.dtype:
-        raise ShapeError(f"layer_norm: dtype mismatch ({x.dtype} vs {p.gamma.dtype})")
     arr = x.numpy()
-    mean = seq_sum(arr, axis=-1, keepdims=True) / c
-    centered = arr - mean
-    var = seq_sum(centered * centered, axis=-1, keepdims=True) / c
-    inv = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=arr.dtype))
-    xhat = centered * inv
+    xhat, inv = _normalize(arr, p.eps)
     gamma = p.gamma.numpy()
     out = Tensor._wrap(gamma * xhat + p.beta.numpy())
 
@@ -204,22 +236,39 @@ def _gelu_derivative_f32_block(x, out, t, u) -> None:
     out += t
 
 
-def _blocked_f32(a: np.ndarray, kernel) -> np.ndarray:
-    """kernel(x, out, t, u) over cache-sized blocks of a, into one new array."""
+def _blocked_f32(a: np.ndarray, kernel, inplace: bool = False) -> np.ndarray:
+    """kernel(x, out, t, u) over cache-sized blocks of a, into one new array.
+
+    With ``inplace`` the result goes back into a instead: each block is
+    computed into scratch and then copied over x, since a kernel reads x
+    after it has begun to write out.
+    """
     flat = a.reshape(-1)
-    out = np.empty_like(flat)
-    scratch = np.empty((2, min(flat.size, _BLOCK)), dtype=np.float32)
+    out = flat if inplace else np.empty_like(flat)
+    scratch = np.empty((2 + inplace, min(flat.size, _BLOCK)), dtype=np.float32)
     for start in range(0, flat.size, _BLOCK):
         x = flat[start : start + _BLOCK]
         n = x.size
-        kernel(x, out[start : start + n], scratch[0, :n], scratch[1, :n])
+        o = scratch[2, :n] if inplace else out[start : start + n]
+        kernel(x, o, scratch[0, :n], scratch[1, :n])
+        if inplace:
+            x[...] = o
     return out.reshape(a.shape)
 
 
-def _gelu_forward(a: np.ndarray) -> np.ndarray:
+def _gelu_forward(a: np.ndarray, inplace: bool = False) -> np.ndarray:
+    """GELU of a into a new array, or with ``inplace`` back into a."""
     if a.dtype == np.float32:
-        return _blocked_f32(a, _gelu_f32_block)
-    return 0.5 * a * (1.0 + erf(a * _INV_SQRT2))
+        return _blocked_f32(a, _gelu_f32_block, inplace)
+    if not inplace:
+        a = a.copy()
+    # The steps of 0.5 * a * (1.0 + erf(a * _INV_SQRT2)), in its order.
+    e = a * _INV_SQRT2
+    erf(e, out=e)
+    e += 1.0
+    a *= 0.5
+    a *= e
+    return a
 
 
 def _gelu_derivative(a: np.ndarray) -> np.ndarray:

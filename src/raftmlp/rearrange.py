@@ -16,9 +16,11 @@ at most one axis per left-hand group may be left unbound.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -46,12 +48,17 @@ class RearrangeSpec:
 
     ``lhs`` and ``rhs`` are tuples of groups; every group is a tuple of
     axis names (a bare item is a one-name group). ``bindings`` pins the
-    lengths of axes that cannot be inferred at application time.
+    lengths of axes that cannot be inferred at application time. It is a
+    read-only copy of the mapping given, since parsed specs are cached and
+    shared between callers.
     """
 
     lhs: tuple
     rhs: tuple
     bindings: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "bindings", MappingProxyType(dict(self.bindings)))
 
     @property
     def pattern(self) -> str:
@@ -96,8 +103,25 @@ def _tokenize(pattern: str):
 
 
 def parse_rearrange(pattern: str, bindings: Mapping[str, int] | None = None) -> RearrangeSpec:
-    """Compile a pattern string into a validated :class:`RearrangeSpec`."""
-    bindings = dict(bindings or {})
+    """Compile a pattern string into a validated :class:`RearrangeSpec`.
+
+    Specs are cached per (pattern, bindings); a cached spec is shared, and
+    immutable.
+    """
+    items = tuple(dict(bindings or {}).items())
+    # Only exact ints are cached: a bool or numpy integer hashes like the
+    # int it equals and would hit that int's entry without being validated.
+    if all(type(length) is int for _, length in items):
+        return _parse_cached(pattern, items)
+    return _parse(pattern, dict(items))
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_cached(pattern: str, items: tuple) -> RearrangeSpec:
+    return _parse(pattern, dict(items))
+
+
+def _parse(pattern: str, bindings: dict) -> RearrangeSpec:
     sides = [[], []]
     side = 0
     group = None  # open parenthesized group, else None

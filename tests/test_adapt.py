@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from raftmlp.adapt import (
+    MAX_EXTENT,
     adapted_token_mixing,
     forward_adapted,
     pre_embed_resize,
@@ -19,7 +20,7 @@ from raftmlp.models import (
 )
 from raftmlp.ops import global_avg_pool, linear
 from raftmlp.rearrange import rearrange
-from raftmlp.tensor import PatchGrid, Tensor
+from raftmlp.tensor import PatchGrid, ShapeError, Tensor
 
 PRESET_NAMES = (
     "raftmlp-s",
@@ -173,6 +174,21 @@ class TestForwardAdapted:
         logits = forward_adapted(model, image).numpy()
         assert logits.shape == (1000,)
         assert np.isfinite(logits).all()
+
+    def test_extent_cap_is_checked_before_resampling(self, monkeypatch):
+        import raftmlp.adapt as adapt
+
+        model = build_model(tiny_config(), dtype="f64")
+        at_cap = Tensor(np.ones((3, MAX_EXTENT, 8)), dtype="f64")
+        assert np.isfinite(forward_adapted(model, at_cap).numpy()).all()
+
+        def no_resize(*args):
+            raise AssertionError("pre_embed_resize ran on an image over the cap")
+
+        monkeypatch.setattr(adapt, "pre_embed_resize", no_resize)
+        for shape in ((3, MAX_EXTENT + 1, 8), (3, 8, MAX_EXTENT + 1)):
+            with pytest.raises(ShapeError, match=f"{MAX_EXTENT}-pixel cap"):
+                forward_adapted(model, Tensor(np.ones(shape), dtype="f64"))
 
     def test_off_stride_input_is_snapped_first(self):
         # 197 x 131 snaps to 192 x 128, after which both run and train

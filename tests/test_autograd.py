@@ -1,14 +1,18 @@
 """Reverse-mode differentiation and the finite-difference harness."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from raftmlp import ops
 from raftmlp.autograd import backward, grad_check, trace
-from raftmlp.ops import LayerNormParams, LinearParams, gelu, layer_norm, linear, softmax
-from raftmlp.rearrange import rearrange
+from raftmlp.ops import LayerNormParams, LinearParams, bicubic_resize, gelu, layer_norm, linear, softmax
+from raftmlp.rearrange import apply_rearrange, parse_rearrange, rearrange
 from raftmlp.selftest import gradcheck_functional, gradcheck_suite
 from raftmlp.tensor import Tensor, add, concat, map_unary, matmul, mul, sum_all, unfold
+from test_rearrange import _rearrange_cases, _side
 
 # d/dx gelu at 1, from the same 50-digit oracle as the forward table.
 GELU_PRIME_AT_1 = 1.0833154705876862984
@@ -102,6 +106,65 @@ class TestBackward:
         with pytest.raises(ValueError) as exc_info:
             backward(tr, out)
         assert "adjoint" in str(exc_info.value)
+
+
+def assert_adjoint(apply, x_shape, seed):
+    """<A x, g> = <x, A^T g> to f64 round-off, with A^T g from backward().
+
+    ``apply`` is the linear map A on tensors. Round-off is judged against
+    the summed magnitudes of both inner products' terms.
+    """
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=x_shape), dtype="f64")
+    with trace() as tr:
+        ax = apply(x)
+        g = Tensor(rng.normal(size=ax.shape), dtype="f64")
+        out = sum_all(mul(ax, g))
+    atg = backward(tr, out, wrt=[x])[x].numpy()
+    terms_a = (ax.numpy() * g.numpy()).ravel()
+    terms_at = (x.numpy() * atg).ravel()
+    gap = abs(math.fsum(terms_a) - math.fsum(terms_at))
+    assert gap <= 1e-13 * (np.abs(terms_a).sum() + np.abs(terms_at).sum())
+
+
+class TestAdjoints:
+    """Dot-product tests of the hand-written VJPs of the pure linear maps."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        c=st.integers(1, 3),
+        kernel=st.integers(1, 4),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        n_h=st.integers(1, 3),
+        n_w=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unfold(self, c, kernel, stride, padding, n_h, n_w, seed):
+        h = (n_h - 1) * stride + kernel - 2 * padding
+        w = (n_w - 1) * stride + kernel - 2 * padding
+        assume(h >= 1 and w >= 1)
+        assert_adjoint(lambda t: unfold(t, kernel, stride, padding), (c, h, w), seed)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        c=st.integers(1, 2),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        out_h=st.integers(1, 12),
+        out_w=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bicubic_resize(self, c, h, w, out_h, out_w, seed):
+        assert_adjoint(lambda t: bicubic_resize(t, out_h, out_w), (c, h, w), seed)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(case=_rearrange_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_apply_rearrange(self, case, seed):
+        lhs, rhs, sizes, bindings = case
+        spec = parse_rearrange(f"{_side(lhs)} -> {_side(rhs)}", bindings)
+        shape = tuple(math.prod(sizes[a] for a in g) for g in lhs)
+        assert_adjoint(lambda t: apply_rearrange(spec, t), shape, seed)
 
 
 class TestGradCheck:

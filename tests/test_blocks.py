@@ -1,11 +1,14 @@
 """Mixing blocks and patch embedding against hand cases and loop oracles."""
 
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+from raftmlp.autograd import trace
 from raftmlp.blocks import (
     EmbedParams,
     MixingParams,
@@ -32,8 +35,6 @@ GELU_AT_MINUS_1 = -0.15865525393145705141
 
 
 def _zero_fc2(p: MixingParams) -> MixingParams:
-    import dataclasses
-
     z = LinearParams(
         weight=Tensor.zeros(p.fc2.weight.shape, dtype=p.fc2.weight.dtype),
         bias=Tensor.zeros(p.fc2.bias.shape, dtype=p.fc2.bias.dtype),
@@ -141,6 +142,68 @@ class TestMixingMlp:
         bad = init_linear(None, 9, 4)
         with pytest.raises(ShapeError):
             MixingParams(ln=_ln(4), fc1=good, fc2=bad)
+
+
+def _overflowing(p: MixingParams) -> MixingParams:
+    """p with finite weights whose fc1 output overflows f32.
+
+    A layer-norm shift of 4 keeps every normalized value of a 4-channel
+    token positive, so each fc1 sum of at least two of them times 3e38
+    exceeds the f32 maximum (3.4e38).
+    """
+    assert p.ln.dim == 4 and p.fc1.d_in >= 2
+    ln = dataclasses.replace(p.ln, beta=Tensor(np.full(4, 4.0), dtype="f32"))
+    big = Tensor(np.full(p.fc1.weight.shape, 3e38), dtype="f32")
+    return dataclasses.replace(p, ln=ln, fc1=dataclasses.replace(p.fc1, weight=big))
+
+
+class TestErrorSurface:
+    """Overflow inside an MLP raises the same error on the taped and untaped paths."""
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_channel_mixing_overflow_raises(self, traced):
+        rng = np.random.default_rng(6)
+        p = _overflowing(init_channel_mixing(rng, channels=4, e_chan=2))
+        x = Tensor(rng.normal(size=(6, 4)), dtype="f32")
+        self._assert_raises_non_finite(lambda: channel_mixing(x, p), traced)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_raft_token_mixing_overflow_raises(self, traced):
+        rng = np.random.default_rng(7)
+        grid = PatchGrid(2, 3, 4)
+        p = init_raft_token_mixing(rng, grid, raft_size=2)
+        p = RaftTokenMixingParams(_overflowing(p.vertical), p.horizontal, p.raft_size)
+        x = Tensor(rng.normal(size=(6, 4)), dtype="f32")
+        self._assert_raises_non_finite(lambda: raft_token_mixing(x, p, grid), traced)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_dtype_misfits_raise_the_taped_ops_errors(self, traced):
+        rng = np.random.default_rng(8)
+        p32 = init_mixing(rng, channels=4, dim=4, hidden=8)
+        p64 = init_mixing(rng, channels=4, dim=4, hidden=8, dtype="f64")
+        x = Tensor(rng.normal(size=(3, 4)), dtype="f64")
+        cases = (
+            (p32, "layer_norm: dtype mismatch (f64 vs f32)"),
+            (dataclasses.replace(p64, fc1=p32.fc1), "linear: dtype mismatch (f64 vs f32)"),
+            (dataclasses.replace(p64, fc2=p32.fc2), "linear: dtype mismatch (f64 vs f32)"),
+        )
+        for p, message in cases:
+            with pytest.raises(ShapeError, match=re.escape(message)):
+                if traced:
+                    with trace():
+                        mixing_mlp(x, p)
+                else:
+                    mixing_mlp(x, p)
+
+    @staticmethod
+    def _assert_raises_non_finite(run, traced):
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as exc_info:
+            if traced:
+                with trace():
+                    run()
+            else:
+                run()
+        assert str(exc_info.value) == "tensor contains NaN or Inf"
 
 
 class TestDirectionalMixing:

@@ -208,6 +208,18 @@ class TestForward:
         assert main(argv) == EX_OK
         assert capsys.readouterr().out.startswith("1: class 999")
 
+    @pytest.mark.parametrize("height, width", [(1025, 8), (8, 1025)])
+    def test_adaptation_refuses_an_extent_over_the_cap(self, capsys, weights_path, tmp_path,
+                                                        height, width):
+        tall = write_ppm(tmp_path / "tall.ppm", height, width)
+        argv = [
+            "forward", "raftmlp-s",
+            "--weights", weights_path, "--image", tall, "--adapt-resolution",
+        ]
+        assert main(argv) == EX_USAGE
+        err = capsys.readouterr().err
+        assert f"{height}x{width}" in err and "1024-pixel cap" in err
+
 
 class TestGradcheck:
     def test_single_block_passes(self, capsys):

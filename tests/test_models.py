@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import raftmlp
 
+from raftmlp.autograd import trace
 from raftmlp.blocks import channel_mixing, multi_scale_patch_embed, raft_token_mixing
 from raftmlp.cost import cost_report
 from raftmlp.models import (
@@ -43,6 +44,51 @@ def tiny32_config(seed=17):
         resolution=(32, 32),
         seed=seed,
     )
+
+
+def draw_config(data, channels=(2, 4, 6), raft_sizes=(1, 2)) -> ModelConfig:
+    """A random small config of one or two levels, raft or plain mixing."""
+    levels = []
+    for _ in range(data.draw(st.integers(1, 2), label="levels")):
+        c = data.draw(st.sampled_from(channels))
+        stride = data.draw(st.sampled_from([1, 2, 4]))
+        scales = data.draw(st.sampled_from([(0,), (0, 1)] if stride % 2 == 0 else [(0,)]))
+        if data.draw(st.booleans(), label="raft"):
+            mixing = dict(
+                raft_size=data.draw(st.sampled_from([r for r in raft_sizes if c % r == 0])),
+                e_ver=data.draw(st.integers(1, 2)),
+                e_hor=data.draw(st.integers(1, 2)),
+            )
+        else:
+            mixing = dict(mixing="plain", token_hidden=data.draw(st.integers(1, 6)))
+        levels.append(
+            LevelConfig(
+                channels=c,
+                depth=data.draw(st.integers(1, 2)),
+                stride=stride,
+                scales=scales,
+                e_chan=data.draw(st.integers(1, 2)),
+                **mixing,
+            )
+        )
+    total = int(np.prod([lvl.stride for lvl in levels]))
+    h, w = (total * data.draw(st.integers(1, 3)) for _ in range(2))
+    return ModelConfig(
+        name="random",
+        levels=tuple(levels),
+        num_classes=data.draw(st.integers(1, 4)),
+        resolution=(h, w),
+        final_norm=data.draw(st.booleans()),
+        seed=data.draw(st.integers(0, 2**16)),
+    )
+
+
+def taped_and_untaped_logits(model, image):
+    """forward outside any trace (untaped mixing MLPs) and inside one (taped)."""
+    untaped = forward(model, image).numpy()
+    with trace():
+        taped = forward(model, image).numpy()
+    return untaped, taped
 
 
 class TestPresetConfigs:
@@ -277,6 +323,32 @@ class TestForward:
         assert np.array_equal(forward(collapsed, image).numpy(), bias)
 
 
+class TestUntapedForward:
+    """Outside a trace the mixing MLPs skip the tape; the logits keep their bits."""
+
+    @pytest.mark.parametrize(
+        "name, dtype",
+        [(name, "f32") for name in PRESETS]
+        + [(name, "f64") for name in ("raftmlp-s", "mixer-b16", "mixer-b16-cr2")],
+    )
+    def test_presets_bitwise_equal_to_the_taped_forward(self, name, dtype):
+        model = build_preset(name, dtype=dtype)
+        image = Tensor(np.random.default_rng(23).normal(size=(3, 224, 224)), dtype=dtype)
+        untaped, taped = taped_and_untaped_logits(model, image)
+        assert untaped.tobytes() == taped.tobytes()
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(data=st.data())
+    def test_random_configs_bitwise_equal_to_the_taped_forward(self, data):
+        config = draw_config(data, channels=(2, 4, 6, 8), raft_sizes=(1, 2, 4))
+        dtype = data.draw(st.sampled_from(["f32", "f64"]), label="dtype")
+        model = build_model(config, dtype=dtype)
+        rng = np.random.default_rng(config.seed)
+        image = Tensor(rng.normal(size=(3,) + config.resolution), dtype=dtype)
+        untaped, taped = taped_and_untaped_logits(model, image)
+        assert untaped.tobytes() == taped.tobytes()
+
+
 class TestParameterPlumbing:
     def test_name_inventory(self):
         model = build_model(tiny32_config(), init="zeros", dtype="f64")
@@ -333,39 +405,7 @@ class TestParameterPlumbing:
     @settings(max_examples=25, deadline=None, database=None)
     @given(data=st.data())
     def test_walk_agrees_on_random_configs(self, data):
-        levels = []
-        for _ in range(data.draw(st.integers(1, 2), label="levels")):
-            channels = data.draw(st.sampled_from([2, 4, 6]))
-            stride = data.draw(st.sampled_from([1, 2, 4]))
-            scales = data.draw(st.sampled_from([(0,), (0, 1)] if stride % 2 == 0 else [(0,)]))
-            if data.draw(st.booleans(), label="raft"):
-                mixing = dict(
-                    raft_size=data.draw(st.sampled_from([1, 2])),
-                    e_ver=data.draw(st.integers(1, 2)),
-                    e_hor=data.draw(st.integers(1, 2)),
-                )
-            else:
-                mixing = dict(mixing="plain", token_hidden=data.draw(st.integers(1, 6)))
-            levels.append(
-                LevelConfig(
-                    channels=channels,
-                    depth=data.draw(st.integers(1, 2)),
-                    stride=stride,
-                    scales=scales,
-                    e_chan=data.draw(st.integers(1, 2)),
-                    **mixing,
-                )
-            )
-        total = int(np.prod([lvl.stride for lvl in levels]))
-        h, w = (total * data.draw(st.integers(1, 3)) for _ in range(2))
-        config = ModelConfig(
-            name="random",
-            levels=tuple(levels),
-            num_classes=data.draw(st.integers(1, 4)),
-            resolution=(h, w),
-            final_norm=data.draw(st.booleans()),
-        )
-        model = build_model(config)
+        model = build_model(draw_config(data))
         params = named_parameters(model)
         assert cost_report(model).params_total == sum(t.size for t in params.values())
         clone = named_parameters(replace_parameters(model, params))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from raftmlp.rearrange import (
     RearrangeError,
+    RearrangeSpec,
     apply_rearrange,
     bind_shape,
     invert,
@@ -60,6 +61,23 @@ class TestParser:
         spec = parse_rearrange("b (h w) (r o) -> b (o w) (r h)", {"h": 2, "w": 3, "r": 2})
         assert spec.lhs == (("b",), ("h", "w"), ("r", "o"))
         assert dict(spec.bindings) == {"h": 2, "w": 3, "r": 2}
+
+    def test_parsed_specs_are_shared_and_read_only(self):
+        pattern = "(h w) (r o) -> (o w) (r h)"
+        spec = parse_rearrange(pattern, {"h": 2, "w": 3, "r": 2})
+        assert parse_rearrange(pattern, {"h": 2, "w": 3, "r": 2}) is spec
+        with pytest.raises(TypeError):
+            spec.bindings["h"] = 5
+        mine = {"h": 2}
+        direct = RearrangeSpec(spec.lhs, spec.rhs, mine)
+        mine["h"] = 5
+        assert dict(direct.bindings) == {"h": 2}
+
+    def test_non_int_lengths_are_rejected_after_the_int_is_cached(self):
+        parse_rearrange("a b -> b a", {"a": 2})
+        for length in (np.int64(2), 2.0):
+            with pytest.raises(RearrangeError, match="positive integer length"):
+                parse_rearrange("a b -> b a", {"a": length})
 
     def test_pattern_roundtrips_through_repr(self):
         spec = parse_rearrange("b (h w) c -> (b c) h w", {"h": 2})
