@@ -107,7 +107,8 @@ def grad_check(
 
     ``f`` must map a tensor to a scalar tensor and be pure. All
     coordinates are checked unless ``max_coords`` caps them, in which
-    case a seeded random subset is used. f64 only. The relative error
+    case a seeded random subset is used; a cap below 1 would check
+    nothing and is a ValueError. f64 only. The relative error
     denominator is max(|analytic|, |numeric|, floor) with floor =
     max(1e-8, 1e-3 * max|analytic|) over the whole gradient, so finite-
     difference noise on a near-zero coordinate is judged at the gradient's
@@ -115,6 +116,8 @@ def grad_check(
     """
     if x.dtype != "f64":
         raise ValueError("grad_check requires an f64 input tensor")
+    if max_coords is not None and max_coords < 1:
+        raise ValueError(f"grad_check: max_coords must be >= 1, got {max_coords}")
     with trace() as tr:
         y = f(x)
     if y.size != 1:

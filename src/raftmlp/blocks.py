@@ -28,21 +28,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _tape
+from . import _tape, ops
 from .ops import (
     LayerNormParams,
     LinearParams,
     _check_layer_norm,
     _check_linear,
     _gelu_forward,
-    _layer_norm_array,
-    _linear_array,
-    gelu,
-    layer_norm,
+    _layer_norm_forward,
+    _layer_norm_vjp,
+    _linear_forward,
+    _linear_vjp,
     linear,
 )
-from .rearrange import RearrangeSpec, _apply_np, apply_rearrange, bind_shape, invert, parse_rearrange
-from .tensor import PatchGrid, ShapeError, Tensor, add, concat, unfold
+from .rearrange import RearrangeSpec, _apply_np, apply_rearrange, bind_shape, parse_rearrange
+from .tensor import PatchGrid, ShapeError, Tensor, concat, unfold
 
 
 @dataclass(frozen=True)
@@ -120,40 +120,44 @@ def _check_mlp_axis(shape: tuple, p: MixingParams) -> None:
 def mixing_mlp(x: Tensor, p: MixingParams, to_mlp: RearrangeSpec | None = None) -> Tensor:
     """Residual MLP with the norm on the input layout and the MLP on ``to_mlp``'s.
 
-    Outside an autograd trace it runs untaped, on plain arrays: the same
-    floating-point steps in the same order, so the same bits, with the
-    bias adds, GELU and the residual add in place and one finiteness
-    check at the output instead of one per step. A NaN or Inf raised on
-    the way reaches the output, since GELU and the matmuls carry it on.
+    One body, traced or not: the steps of ``layer_norm``, ``apply_rearrange``,
+    ``linear``, ``gelu``, ``linear``, the inverse rearrange and ``add``, in
+    that order on plain arrays, so the same bits as that chain of ops. The
+    output is checked for finiteness once; a NaN or Inf raised on the way
+    reaches it, since GELU and the matmuls carry it on. Inside an autograd
+    trace the whole MLP is one tape node over x and the six parameters,
+    whose VJP chains the per-op adjoints in reverse.
     """
-    if _tape.active() is None:
-        return _untaped_mixing_mlp(x, p, to_mlp)
-    y = layer_norm(x, p.ln)
-    if to_mlp is not None:
-        to_mlp = bind_shape(to_mlp, y.shape)
-        y = apply_rearrange(to_mlp, y)
-    _check_mlp_axis(y.shape, p)
-    y = linear(gelu(linear(y, p.fc1)), p.fc2)
-    if to_mlp is not None:
-        y = apply_rearrange(invert(to_mlp), y)
-    return add(x, y)
-
-
-def _untaped_mixing_mlp(x: Tensor, p: MixingParams, to_mlp: RearrangeSpec | None) -> Tensor:
     _check_layer_norm(x.shape, x.dtype, p.ln)
-    y = _layer_norm_array(x.numpy(), p.ln)
+    arr = x.numpy()
+    y, xhat, inv = _layer_norm_forward(arr, p.ln)
     if to_mlp is not None:
         to_mlp = bind_shape(to_mlp, y.shape)
         y = _apply_np(to_mlp.lhs, to_mlp.rhs, to_mlp.bindings, y)
     _check_mlp_axis(y.shape, p)
     _check_linear(y.shape, x.dtype, p.fc1)
-    y = _gelu_forward(_linear_array(y, p.fc1), inplace=True)
-    _check_linear(y.shape, x.dtype, p.fc2)
-    y = _linear_array(y, p.fc2)
+    h = _linear_forward(y, p.fc1)
+    a = _gelu_forward(h)
+    _check_linear(a.shape, x.dtype, p.fc2)
+    z = _linear_forward(a, p.fc2)
     if to_mlp is not None:
-        y = _apply_np(to_mlp.rhs, to_mlp.lhs, to_mlp.bindings, y)
-    y += x.numpy()
-    return Tensor._wrap(y)
+        z = _apply_np(to_mlp.rhs, to_mlp.lhs, to_mlp.bindings, z)
+    z += arr
+    out = Tensor._wrap(z)
+
+    def vjp(g):
+        gz = g if to_mlp is None else _apply_np(to_mlp.lhs, to_mlp.rhs, to_mlp.bindings, g)
+        ga, gw2, gb2 = _linear_vjp(gz, a, p.fc2)
+        # Looked up on the module, as ops.gelu does, so a patched derivative takes effect.
+        gy, gw1, gb1 = _linear_vjp(ga * ops._gelu_derivative(h), y, p.fc1)
+        if to_mlp is not None:
+            gy = _apply_np(to_mlp.rhs, to_mlp.lhs, to_mlp.bindings, gy)
+        gx, ggamma, gbeta = _layer_norm_vjp(gy, xhat, inv, p.ln)
+        return g + gx, ggamma, gbeta, gw1, gb1, gw2, gb2
+
+    inputs = (x, p.ln.gamma, p.ln.beta, p.fc1.weight, p.fc1.bias, p.fc2.weight, p.fc2.bias)
+    _tape.record("mixing_mlp", inputs, out, vjp)
+    return out
 
 
 def vertical_mixing(x: Tensor, p: MixingParams) -> Tensor:

@@ -53,6 +53,21 @@ def _resolution(text: str):
     return res
 
 
+def _at_least(low, kind=int):
+    """argparse type: a ``kind`` value no less than ``low``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}")
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="raftmlp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -65,8 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_resolution, default=None, metavar="HxW")
     p.add_argument("--flops-convention", choices=("macs", "2macs"), default="macs")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--expect-params", type=int, default=None, metavar="N")
-    p.add_argument("--tolerance", type=float, default=0.01, metavar="T",
+    p.add_argument("--expect-params", type=_at_least(1), default=None, metavar="N")
+    p.add_argument("--tolerance", type=_at_least(0.0, float), default=0.01, metavar="T",
                    help="relative tolerance for --expect-params (default 0.01)")
 
     p = sub.add_parser("forward", help="classify one PPM image")
@@ -80,8 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     p.add_argument("--block", choices=("all",) + BLOCK_NAMES, default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=5, help="number of seeds from --seed up")
-    p.add_argument("--max-coords", type=int, default=40)
+    p.add_argument("--seeds", type=_at_least(1), default=5, help="number of seeds from --seed up")
+    p.add_argument("--max-coords", type=_at_least(1), default=40)
 
     p = sub.add_parser("featmaps", help="dump one level's channels as PGM images")
     p.add_argument("preset", choices=sorted(PRESETS))

@@ -2,9 +2,10 @@
 
 Every op validates shapes, produces finite outputs, and registers a
 vector-Jacobian product on the active trace so the autograd module can
-differentiate through it. The ``_*_array`` helpers do an op's arithmetic,
-step for step, on plain arrays for the untaped mixing MLP; they record
-nothing, and the caller validates shapes and finiteness.
+differentiate through it. The forward and VJP arithmetic of ``linear``
+and ``layer_norm`` lives in plain-array helpers, ``_linear_forward`` /
+``_linear_vjp`` and ``_layer_norm_forward`` / ``_layer_norm_vjp``, which
+``blocks.mixing_mlp`` shares, so each formula is written once.
 """
 
 from __future__ import annotations
@@ -82,31 +83,29 @@ def _check_linear(shape: tuple, dtype: str, p: LinearParams) -> None:
         raise ShapeError(f"linear: dtype mismatch ({dtype} vs {p.weight.dtype})")
 
 
-def _linear_array(arr: np.ndarray, p: LinearParams) -> np.ndarray:
-    """Untaped ``linear`` on a checked array, the bias added in place."""
+def _linear_forward(arr: np.ndarray, p: LinearParams) -> np.ndarray:
+    """x @ W + b on a checked array, the bias added in place."""
     y = arr.reshape(-1, p.d_in) @ p.weight.numpy()
     y += p.bias.numpy()
     return y.reshape(arr.shape[:-1] + (p.d_out,))
+
+
+def _linear_vjp(g: np.ndarray, arr: np.ndarray, p: LinearParams) -> tuple:
+    """Cotangents of (x, W, b) for y = x @ W + b, from dy = g at input arr."""
+    g2 = g.reshape(-1, p.d_out)
+    return (
+        (g2 @ p.weight.numpy().T).reshape(arr.shape),
+        arr.reshape(-1, p.d_in).T @ g2,
+        seq_sum(g2, axis=0),
+    )
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
     """y[..., j] = sum_i x[..., i] * W[i, j] + b[j] at every leading site."""
     _check_linear(x.shape, x.dtype, p)
     arr = x.numpy()
-    x2 = arr.reshape(-1, p.d_in)
-    w = p.weight.numpy()
-    y2 = x2 @ w + p.bias.numpy()
-    out = Tensor._wrap(y2.reshape(arr.shape[:-1] + (p.d_out,)))
-
-    def vjp(g):
-        g2 = g.reshape(-1, p.d_out)
-        return (
-            (g2 @ w.T).reshape(arr.shape),
-            x2.T @ g2,
-            seq_sum(g2, axis=0),
-        )
-
-    _tape.record("linear", (x, p.weight, p.bias), out, vjp)
+    out = Tensor._wrap(_linear_forward(arr, p))
+    _tape.record("linear", (x, p.weight, p.bias), out, lambda g: _linear_vjp(g, arr, p))
     return out
 
 
@@ -117,23 +116,32 @@ def _check_layer_norm(shape: tuple, dtype: str, p: LayerNormParams) -> None:
         raise ShapeError(f"layer_norm: dtype mismatch ({dtype} vs {p.gamma.dtype})")
 
 
-def _normalize(arr: np.ndarray, eps: float):
-    """(x - mean) / sqrt(var + eps) over the trailing axis, and its 1 / sqrt factor."""
+def _layer_norm_forward(arr: np.ndarray, p: LayerNormParams):
+    """Layer norm of a checked array, with the xhat and 1 / sqrt(var + eps) its VJP reads."""
     c = arr.shape[-1]
     mean = seq_sum(arr, axis=-1, keepdims=True) / c
     xhat = arr - mean
     var = seq_sum(xhat * xhat, axis=-1, keepdims=True) / c
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=arr.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=arr.dtype))
     xhat *= inv
-    return xhat, inv
-
-
-def _layer_norm_array(arr: np.ndarray, p: LayerNormParams) -> np.ndarray:
-    """Untaped ``layer_norm`` on a checked array, scaled and shifted in place."""
-    y, _ = _normalize(arr, p.eps)
-    y *= p.gamma.numpy()
+    y = xhat * p.gamma.numpy()
     y += p.beta.numpy()
-    return y
+    return y, xhat, inv
+
+
+def _layer_norm_vjp(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, p: LayerNormParams) -> tuple:
+    """Cotangents of (x, gamma, beta) for layer norm, from dy = g."""
+    c = p.dim
+    gg = g * p.gamma.numpy()
+    m1 = seq_sum(gg, axis=-1, keepdims=True) / c
+    m2 = seq_sum(gg * xhat, axis=-1, keepdims=True) / c
+    dx = inv * (gg - m1 - xhat * m2)
+    g2 = g.reshape(-1, c)
+    return (
+        np.ascontiguousarray(dx),
+        seq_sum(g2 * xhat.reshape(-1, c), axis=0),
+        seq_sum(g2, axis=0),
+    )
 
 
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
@@ -143,25 +151,9 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     parameter length.
     """
     _check_layer_norm(x.shape, x.dtype, p)
-    c = p.dim
-    arr = x.numpy()
-    xhat, inv = _normalize(arr, p.eps)
-    gamma = p.gamma.numpy()
-    out = Tensor._wrap(gamma * xhat + p.beta.numpy())
-
-    def vjp(g):
-        gg = g * gamma
-        m1 = seq_sum(gg, axis=-1, keepdims=True) / c
-        m2 = seq_sum(gg * xhat, axis=-1, keepdims=True) / c
-        dx = inv * (gg - m1 - xhat * m2)
-        g2 = g.reshape(-1, c)
-        xhat2 = xhat.reshape(-1, c)
-        return (
-            np.ascontiguousarray(dx),
-            seq_sum(g2 * xhat2, axis=0),
-            seq_sum(g2, axis=0),
-        )
-
+    y, xhat, inv = _layer_norm_forward(x.numpy(), p)
+    out = Tensor._wrap(y)
+    vjp = lambda g: _layer_norm_vjp(g, xhat, inv, p)
     _tape.record("layer_norm", (x, p.gamma, p.beta), out, vjp)
     return out
 
@@ -236,39 +228,22 @@ def _gelu_derivative_f32_block(x, out, t, u) -> None:
     out += t
 
 
-def _blocked_f32(a: np.ndarray, kernel, inplace: bool = False) -> np.ndarray:
-    """kernel(x, out, t, u) over cache-sized blocks of a, into one new array.
-
-    With ``inplace`` the result goes back into a instead: each block is
-    computed into scratch and then copied over x, since a kernel reads x
-    after it has begun to write out.
-    """
+def _blocked_f32(a: np.ndarray, kernel) -> np.ndarray:
+    """kernel(x, out, t, u) over cache-sized blocks of a, into one new array."""
     flat = a.reshape(-1)
-    out = flat if inplace else np.empty_like(flat)
-    scratch = np.empty((2 + inplace, min(flat.size, _BLOCK)), dtype=np.float32)
+    out = np.empty_like(flat)
+    scratch = np.empty((2, min(flat.size, _BLOCK)), dtype=np.float32)
     for start in range(0, flat.size, _BLOCK):
-        x = flat[start : start + _BLOCK]
-        n = x.size
-        o = scratch[2, :n] if inplace else out[start : start + n]
-        kernel(x, o, scratch[0, :n], scratch[1, :n])
-        if inplace:
-            x[...] = o
+        n = min(_BLOCK, flat.size - start)
+        kernel(flat[start : start + n], out[start : start + n], scratch[0, :n], scratch[1, :n])
     return out.reshape(a.shape)
 
 
-def _gelu_forward(a: np.ndarray, inplace: bool = False) -> np.ndarray:
-    """GELU of a into a new array, or with ``inplace`` back into a."""
+def _gelu_forward(a: np.ndarray) -> np.ndarray:
+    """GELU of a, into a new array."""
     if a.dtype == np.float32:
-        return _blocked_f32(a, _gelu_f32_block, inplace)
-    if not inplace:
-        a = a.copy()
-    # The steps of 0.5 * a * (1.0 + erf(a * _INV_SQRT2)), in its order.
-    e = a * _INV_SQRT2
-    erf(e, out=e)
-    e += 1.0
-    a *= 0.5
-    a *= e
-    return a
+        return _blocked_f32(a, _gelu_f32_block)
+    return 0.5 * a * (1.0 + erf(a * _INV_SQRT2))
 
 
 def _gelu_derivative(a: np.ndarray) -> np.ndarray:

@@ -3,9 +3,8 @@
 Tensors wrap contiguous, row-major numpy buffers in float32 or float64.
 They are immutable after construction. NaN/Inf is an error surface here,
 never a value: every exported operation validates that its result is
-finite, and the untaped mixing MLP (``blocks.mixing_mlp`` outside an
-autograd trace), which runs none of them inside, validates its output
-once.
+finite. ``blocks.mixing_mlp``, which runs none of them inside, validates
+its output once, inside an autograd trace or outside one.
 
 Reductions that this module owns (``sum_all`` and helpers used by the
 neural ops) accumulate strictly left to right so repeated runs are

@@ -221,6 +221,12 @@ class TestGradCheck:
         report = grad_check(lambda t: sum_all(mul(t, t)), x, max_coords=7, seed=3)
         assert report.coords_checked == 7
 
+    @pytest.mark.parametrize("max_coords", [0, -1])
+    def test_a_cap_below_one_is_rejected(self, max_coords):
+        x = Tensor(np.ones(3), dtype="f64")
+        with pytest.raises(ValueError, match="max_coords"):
+            grad_check(lambda t: sum_all(mul(t, t)), x, max_coords=max_coords)
+
     def test_requires_f64(self):
         x = Tensor(np.ones((2, 2)), dtype="f32")
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from raftmlp.autograd import trace
+from raftmlp.autograd import backward, grad_check, trace
 from raftmlp.blocks import (
     EmbedParams,
     MixingParams,
@@ -26,9 +26,9 @@ from raftmlp.blocks import (
     trunc_normal,
     vertical_mixing,
 )
-from raftmlp.ops import LayerNormParams, LinearParams
-from raftmlp.rearrange import parse_rearrange
-from raftmlp.tensor import PatchGrid, ShapeError, Tensor
+from raftmlp.ops import LayerNormParams, LinearParams, gelu, layer_norm, linear
+from raftmlp.rearrange import apply_rearrange, bind_shape, invert, parse_rearrange
+from raftmlp.tensor import PatchGrid, ShapeError, Tensor, add, mul, sum_all
 
 GELU_AT_1 = 0.84134474606854294859
 GELU_AT_MINUS_1 = -0.15865525393145705141
@@ -158,7 +158,7 @@ def _overflowing(p: MixingParams) -> MixingParams:
 
 
 class TestErrorSurface:
-    """Overflow inside an MLP raises the same error on the taped and untaped paths."""
+    """Overflow inside an MLP raises the same error inside a trace and outside one."""
 
     @pytest.mark.parametrize("traced", [False, True])
     def test_channel_mixing_overflow_raises(self, traced):
@@ -204,6 +204,83 @@ class TestErrorSurface:
             else:
                 run()
         assert str(exc_info.value) == "tensor contains NaN or Inf"
+
+
+def _random_mixing(rng, channels, dim, hidden, dtype):
+    """Mixing params with every entry random, so no adjoint is trivially zero."""
+    draw = lambda *shape: Tensor(rng.normal(size=shape), dtype=dtype)
+    return MixingParams(
+        ln=LayerNormParams(gamma=draw(channels), beta=draw(channels)),
+        fc1=LinearParams(draw(dim, hidden), draw(hidden)),
+        fc2=LinearParams(draw(hidden, dim), draw(dim)),
+    )
+
+
+def _op_chain_mlp(x, p, to_mlp):
+    """The mixing MLP spelled as its chain of taped ops, one node per op."""
+    y = layer_norm(x, p.ln)
+    if to_mlp is not None:
+        to_mlp = bind_shape(to_mlp, y.shape)
+        y = apply_rearrange(to_mlp, y)
+    y = linear(gelu(linear(y, p.fc1)), p.fc2)
+    if to_mlp is not None:
+        y = apply_rearrange(invert(to_mlp), y)
+    return add(x, y)
+
+
+# (input shape, channels, MLP dim, pattern, bindings): no move, plain token
+# mixing, and the vertical and horizontal raft moves on a 3x2 grid, r = 2.
+_MOVES = {
+    "none": ((6, 5), 5, 5, None, {}),
+    "token": ((6, 5), 5, 6, "t c -> c t", {}),
+    "raft-vertical": ((6, 4), 4, 6, "(h w) (r o) -> (o w) (r h)", {"h": 3, "w": 2, "r": 2}),
+    "raft-horizontal": ((6, 4), 4, 4, "(h w) (r o) -> (o h) (r w)", {"h": 3, "w": 2, "r": 2}),
+}
+
+
+class TestMixingMlpNode:
+    """Inside a trace a mixing MLP is one tape node whose VJP chains the per-op adjoints."""
+
+    @staticmethod
+    def _case(move, dtype, seed=0):
+        shape, channels, dim, pattern, bind = _MOVES[move]
+        rng = np.random.default_rng(seed)
+        p = _random_mixing(rng, channels, dim, 2 * dim + 1, dtype)
+        x = Tensor(rng.normal(size=shape), dtype=dtype)
+        probe = Tensor(rng.normal(size=shape), dtype=dtype)
+        spec = None if pattern is None else parse_rearrange(pattern, bind)
+        return p, x, probe, spec
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("move", sorted(_MOVES))
+    def test_adjoints_bitwise_equal_to_the_op_chain(self, move, dtype):
+        p, x, probe, spec = self._case(move, dtype)
+        leaves = (x, p.ln.gamma, p.ln.beta, p.fc1.weight, p.fc1.bias, p.fc2.weight, p.fc2.bias)
+        results = []
+        for mlp in (mixing_mlp, _op_chain_mlp):
+            with trace() as tr:
+                out = sum_all(mul(mlp(x, p, spec), probe))
+            grads = backward(tr, out, wrt=leaves)
+            results.append((out, [grads[t].numpy() for t in leaves], tr))
+        (out, got, tr), (ref_out, want, _) = results
+        assert [node.op for node in tr.nodes] == ["mixing_mlp", "mul", "sum_all"]
+        assert out.numpy().tobytes() == ref_out.numpy().tobytes()
+        for name, g, w in zip(("x", "gamma", "beta", "w1", "b1", "w2", "b2"), got, want):
+            assert np.abs(g).max() > 0, name
+            assert g.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("param", ["fc1.weight", "ln.gamma"])
+    def test_parameter_adjoint_matches_finite_differences(self, param):
+        p, x, probe, spec = self._case("raft-vertical", "f64", seed=1)
+        part, field = param.split(".")
+
+        def f(value):
+            sub = dataclasses.replace(getattr(p, part), **{field: value})
+            q = dataclasses.replace(p, **{part: sub})
+            return sum_all(mul(mixing_mlp(x, q, spec), probe))
+
+        report = grad_check(f, getattr(getattr(p, part), field))
+        assert report.max_rel_err < 1e-6
 
 
 class TestDirectionalMixing:

@@ -119,6 +119,27 @@ class TestCost:
         assert main(argv) == EX_CHECK
         assert "FAIL" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--expect-params", "0"],
+            ["--expect-params", "-5"],
+            ["--expect-params", "9.9e6"],
+            ["--tolerance", "-1", "--expect-params", str(RAFTMLP_S_PARAMS)],
+            ["--tolerance", "nan", "--expect-params", str(RAFTMLP_S_PARAMS)],
+        ],
+    )
+    def test_out_of_range_check_arguments_are_usage_errors(self, capsys, flags):
+        assert main(["cost", "raftmlp-s", *flags]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert "error: argument" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_zero_tolerance_demands_the_exact_count(self, capsys):
+        argv = ["cost", "raftmlp-s", "--tolerance", "0", "--expect-params"]
+        assert main(argv + [str(RAFTMLP_S_PARAMS)]) == EX_OK
+        assert main(argv + [str(RAFTMLP_S_PARAMS + 1)]) == EX_CHECK
+
     def test_custom_resolution(self, capsys):
         assert main(["cost", "raftmlp-s", "--resolution", "448x448", "--json"]) == EX_OK
         doc = json.loads(capsys.readouterr().out)
@@ -233,6 +254,15 @@ class TestGradcheck:
 
     def test_unknown_block_is_usage_error(self, capsys):
         assert main(["gradcheck", "--block", "bogus"]) == EX_USAGE
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--seeds", "0"], ["--seeds", "-1"], ["--max-coords", "0"], ["--max-coords", "-3"]],
+    )
+    def test_a_check_of_nothing_is_a_usage_error(self, capsys, flags):
+        assert main(["gradcheck", "--block", "channel", *flags]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert "error: argument" in captured.err and captured.out == ""
 
 
 class TestFeatmaps:

@@ -84,7 +84,11 @@ def draw_config(data, channels=(2, 4, 6), raft_sizes=(1, 2)) -> ModelConfig:
 
 
 def taped_and_untaped_logits(model, image):
-    """forward outside any trace (untaped mixing MLPs) and inside one (taped)."""
+    """forward outside any trace, and inside one as the reference.
+
+    The mixing MLPs run the same body either way; inside a trace each also
+    records its one tape node.
+    """
     untaped = forward(model, image).numpy()
     with trace():
         taped = forward(model, image).numpy()
@@ -324,7 +328,7 @@ class TestForward:
 
 
 class TestUntapedForward:
-    """Outside a trace the mixing MLPs skip the tape; the logits keep their bits."""
+    """Recording the tape leaves the logits' bits alone: untraced equals traced."""
 
     @pytest.mark.parametrize(
         "name, dtype",
