@@ -272,11 +272,9 @@ def init_linear(
     return LinearParams(weight=weight, bias=Tensor.zeros((d_out,), dtype=dtype))
 
 
-def init_layer_norm(dim: int, eps: float = 1e-6, dtype: str = "f32") -> LayerNormParams:
+def init_layer_norm(dim: int, dtype: str = "f32") -> LayerNormParams:
     return LayerNormParams(
-        gamma=Tensor.ones((dim,), dtype=dtype),
-        beta=Tensor.zeros((dim,), dtype=dtype),
-        eps=eps,
+        gamma=Tensor.ones((dim,), dtype=dtype), beta=Tensor.zeros((dim,), dtype=dtype)
     )
 
 
@@ -285,12 +283,11 @@ def init_mixing(
     channels: int,
     dim: int,
     hidden: int,
-    eps: float = 1e-6,
     dtype: str = "f32",
 ) -> MixingParams:
     """Mixing MLP params: norm over ``channels``, MLP dim -> hidden -> dim."""
     return MixingParams(
-        ln=init_layer_norm(channels, eps=eps, dtype=dtype),
+        ln=init_layer_norm(channels, dtype=dtype),
         fc1=init_linear(rng, dim, hidden, dtype=dtype),
         fc2=init_linear(rng, hidden, dim, dtype=dtype),
     )
@@ -302,7 +299,6 @@ def init_raft_token_mixing(
     raft_size: int,
     e_ver: int = 2,
     e_hor: int = 2,
-    eps: float = 1e-6,
     dtype: str = "f32",
 ) -> RaftTokenMixingParams:
     if grid.channels % raft_size:
@@ -312,8 +308,8 @@ def init_raft_token_mixing(
     dim_v = raft_size * grid.h_prime
     dim_h = raft_size * grid.w_prime
     return RaftTokenMixingParams(
-        vertical=init_mixing(rng, grid.channels, dim_v, e_ver * dim_v, eps=eps, dtype=dtype),
-        horizontal=init_mixing(rng, grid.channels, dim_h, e_hor * dim_h, eps=eps, dtype=dtype),
+        vertical=init_mixing(rng, grid.channels, dim_v, e_ver * dim_v, dtype=dtype),
+        horizontal=init_mixing(rng, grid.channels, dim_h, e_hor * dim_h, dtype=dtype),
         raft_size=raft_size,
     )
 
@@ -322,10 +318,9 @@ def init_channel_mixing(
     rng: np.random.Generator | None,
     channels: int,
     e_chan: int = 4,
-    eps: float = 1e-6,
     dtype: str = "f32",
 ) -> MixingParams:
-    return init_mixing(rng, channels, channels, e_chan * channels, eps=eps, dtype=dtype)
+    return init_mixing(rng, channels, channels, e_chan * channels, dtype=dtype)
 
 
 def init_embed(

@@ -53,7 +53,6 @@ from .ops import LayerNormParams, LinearParams, global_avg_pool, layer_norm, lin
 from .rearrange import parse_rearrange, rearrange
 from .tensor import PatchGrid, ShapeError, Tensor
 
-_LN_EPS = 1e-6
 _TOKEN_TRANSPOSE = parse_rearrange("t c -> c t")
 
 
@@ -177,20 +176,16 @@ def build_model(config: ModelConfig, init: str = "trunc_normal", dtype: str = "f
         for _ in range(lvl.depth):
             if lvl.mixing == "raft":
                 token = init_raft_token_mixing(
-                    rng, grid, lvl.raft_size, lvl.e_ver, lvl.e_hor,
-                    eps=_LN_EPS, dtype=dtype,
+                    rng, grid, lvl.raft_size, lvl.e_ver, lvl.e_hor, dtype=dtype
                 )
             else:
-                token = init_mixing(
-                    rng, lvl.channels, grid.tokens, lvl.token_hidden,
-                    eps=_LN_EPS, dtype=dtype,
-                )
-            chan = init_channel_mixing(rng, lvl.channels, lvl.e_chan, eps=_LN_EPS, dtype=dtype)
+                token = init_mixing(rng, lvl.channels, grid.tokens, lvl.token_hidden, dtype=dtype)
+            chan = init_channel_mixing(rng, lvl.channels, lvl.e_chan, dtype=dtype)
             blocks.append(BlockParams(token=token, channel=chan))
         levels.append(LevelParams(embed=embed, blocks=tuple(blocks)))
         c_in = lvl.channels
 
-    final = init_layer_norm(c_in, eps=_LN_EPS, dtype=dtype) if config.final_norm else None
+    final = init_layer_norm(c_in, dtype=dtype) if config.final_norm else None
     head = init_linear(rng, c_in, config.num_classes, dtype=dtype)
     return Model(config=config, levels=tuple(levels), head=head, final_norm=final)
 

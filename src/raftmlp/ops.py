@@ -6,6 +6,8 @@ differentiate through it. The forward and VJP arithmetic of ``linear``
 and ``layer_norm`` lives in plain-array helpers, ``_linear_forward`` /
 ``_linear_vjp`` and ``_layer_norm_forward`` / ``_layer_norm_vjp``, which
 ``blocks.mixing_mlp`` shares, so each formula is written once.
+``bicubic_resize`` resamples one axis at a time: one gather per tap, and
+the four weighted taps summed in a fixed order.
 """
 
 from __future__ import annotations
@@ -295,8 +297,13 @@ def softmax(x: Tensor) -> Tensor:
     return out
 
 
-def _cubic_kernel(t: np.ndarray, a: float = -0.75) -> np.ndarray:
+# The cubic convolution kernel's parameter, as in OpenCV and PyTorch bicubic.
+_CUBIC_A = -0.75
+
+
+def _cubic_kernel(t: np.ndarray) -> np.ndarray:
     """Cubic convolution kernel; exact zeros at |t| in {1, 2}, one at 0."""
+    a = _CUBIC_A
     t = np.abs(t)
     near = ((a + 2.0) * t - (a + 3.0)) * t * t + 1.0
     far = ((((t - 5.0) * t) + 8.0) * t - 4.0) * a
@@ -316,15 +323,12 @@ def _resize_plan(n_in: int, n_out: int):
 
 
 def _resize_axis(arr: np.ndarray, axis: int, n_out: int):
+    """Resample one axis: each tap gathered once, the four summed in a fixed order."""
     idx, weights = _resize_plan(arr.shape[axis], n_out)
     weights = weights.astype(arr.dtype)
-    taps = np.take(arr, idx.reshape(-1), axis=axis)
-    taps = taps.reshape(arr.shape[:axis] + (n_out, 4) + arr.shape[axis + 1 :])
-    wshape = [1] * taps.ndim
+    wshape = [1] * arr.ndim
     wshape[axis] = n_out
-    wshape[axis + 1] = 4
-    w = weights.reshape(wshape)
-    tap = lambda k: np.take(taps, k, axis=axis + 1) * np.take(w, k, axis=axis + 1)
+    tap = lambda k: np.take(arr, idx[:, k], axis=axis) * weights[:, k].reshape(wshape)
     out = ((tap(0) + tap(1)) + tap(2)) + tap(3)
     return out, idx, weights
 
@@ -344,9 +348,12 @@ def _resize_axis_vjp(g: np.ndarray, n_in: int, axis: int, idx, weights) -> np.nd
 def bicubic_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Separable cubic-convolution resampling of a [c, h, w] tensor.
 
-    Half-pixel center alignment, kernel parameter a = -0.75, border taps
-    clamped to the edge. With out == in the tap weights collapse to
-    (0, 1, 0, 0) exactly, so a same-size resize returns the input bitwise.
+    Half-pixel center alignment, border taps clamped to the edge, and the
+    kernel parameter fixed at the constant a = -0.75. Each axis gathers
+    its four taps, scales each by its weight and sums them in the fixed
+    order ((t0 + t1) + t2) + t3. With out == in the tap weights collapse
+    to (0, 1, 0, 0) exactly, so a same-size resize returns the input
+    bitwise.
     """
     if x.rank != 3:
         raise ShapeError(f"bicubic_resize needs a [c, h, w] tensor, got {x.shape}")

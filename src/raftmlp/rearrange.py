@@ -106,22 +106,19 @@ def parse_rearrange(pattern: str, bindings: Mapping[str, int] | None = None) -> 
     """Compile a pattern string into a validated :class:`RearrangeSpec`.
 
     Specs are cached per (pattern, bindings); a cached spec is shared, and
-    immutable.
+    immutable. Lengths must be exact ints: a bool, float or numpy integer
+    hashes like the int it equals, so it is rejected before the lookup.
     """
     items = tuple(dict(bindings or {}).items())
-    # Only exact ints are cached: a bool or numpy integer hashes like the
-    # int it equals and would hit that int's entry without being validated.
-    if all(type(length) is int for _, length in items):
-        return _parse_cached(pattern, items)
-    return _parse(pattern, dict(items))
+    for name, length in items:
+        if type(length) is not int or length < 1:
+            raise RearrangeError(f"axis {name!r} must have a positive integer length")
+    return _parse(pattern, items)
 
 
 @functools.lru_cache(maxsize=256)
-def _parse_cached(pattern: str, items: tuple) -> RearrangeSpec:
-    return _parse(pattern, dict(items))
-
-
-def _parse(pattern: str, bindings: dict) -> RearrangeSpec:
+def _parse(pattern: str, items: tuple) -> RearrangeSpec:
+    bindings = dict(items)
     sides = [[], []]
     side = 0
     group = None  # open parenthesized group, else None
@@ -168,11 +165,9 @@ def _parse(pattern: str, bindings: dict) -> RearrangeSpec:
             f"axis {name!r} appears only on the left side", pattern, seen[0][name]
         )
 
-    for name, length in bindings.items():
+    for name in bindings:
         if name not in lhs_names:
             raise RearrangeError(f"binding for unknown axis {name!r}", pattern, 0)
-        if not isinstance(length, int) or length < 1:
-            raise RearrangeError(f"axis {name!r} must have a positive integer length")
 
     for g in sides[0]:
         unbound = [a for a in g if a not in bindings]

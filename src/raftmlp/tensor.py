@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _tape
 
@@ -235,10 +236,7 @@ def concat(ts, axis: int) -> Tensor:
     offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
 
     def vjp(g):
-        return tuple(
-            np.ascontiguousarray(np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis))
-            for i in range(len(ts))
-        )
+        return tuple(np.ascontiguousarray(p) for p in np.split(g, offsets[1:-1], axis=axis))
 
     _tape.record("concat", tuple(ts), out, vjp)
     return out
@@ -250,7 +248,8 @@ def unfold(t: Tensor, kernel: int, stride: int, padding: int) -> Tensor:
     Returns [c * kernel**2, n_tokens] where column j is patch j in
     (channel, row, col) order and patches step by ``stride`` after
     zero-padding ``padding`` on every side. Out-of-image samples are
-    exactly zero.
+    exactly zero. The patches are one strided window view of the padded
+    image, copied out once in that order.
     """
     if t.rank != 3:
         raise ShapeError(f"unfold needs a [c, h, w] tensor, got shape {t.shape}")
@@ -271,14 +270,11 @@ def unfold(t: Tensor, kernel: int, stride: int, padding: int) -> Tensor:
     padded = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=arr.dtype)
     padded[:, padding : padding + h, padding : padding + w] = arr
 
-    patches = np.empty((c, kernel, kernel, n_h, n_w), dtype=arr.dtype)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            patches[:, ki, kj] = padded[
-                :, ki : ki + n_h * stride : stride, kj : kj + n_w * stride : stride
-            ]
-    out = Tensor._wrap(patches.reshape(c * kernel * kernel, n_h * n_w))
+    # windows[ci, i, j, ki, kj] = padded[ci, i * stride + ki, j * stride + kj]
+    windows = sliding_window_view(padded, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
+    out = Tensor._wrap(windows.transpose(0, 3, 4, 1, 2).reshape(c * kernel * kernel, n_h * n_w))
 
+    # The loop fixes the order in which overlapping patches accumulate.
     def vjp(g):
         gp = g.reshape(c, kernel, kernel, n_h, n_w)
         acc = np.zeros_like(padded)

@@ -108,21 +108,22 @@ class TestBackward:
         assert "adjoint" in str(exc_info.value)
 
 
-def assert_adjoint(apply, x_shape, seed):
+def assert_adjoint(apply, x_shapes, seed):
     """<A x, g> = <x, A^T g> to f64 round-off, with A^T g from backward().
 
-    ``apply`` is the linear map A on tensors. Round-off is judged against
-    the summed magnitudes of both inner products' terms.
+    ``apply`` is the linear map A, called with one tensor per shape in
+    ``x_shapes``. Round-off is judged against the summed magnitudes of
+    both inner products' terms.
     """
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=x_shape), dtype="f64")
+    xs = [Tensor(rng.normal(size=shape), dtype="f64") for shape in x_shapes]
     with trace() as tr:
-        ax = apply(x)
+        ax = apply(*xs)
         g = Tensor(rng.normal(size=ax.shape), dtype="f64")
         out = sum_all(mul(ax, g))
-    atg = backward(tr, out, wrt=[x])[x].numpy()
+    atg = backward(tr, out, wrt=xs)
     terms_a = (ax.numpy() * g.numpy()).ravel()
-    terms_at = (x.numpy() * atg).ravel()
+    terms_at = np.concatenate([(x.numpy() * atg[x].numpy()).ravel() for x in xs])
     gap = abs(math.fsum(terms_a) - math.fsum(terms_at))
     assert gap <= 1e-13 * (np.abs(terms_a).sum() + np.abs(terms_at).sum())
 
@@ -144,7 +145,7 @@ class TestAdjoints:
         h = (n_h - 1) * stride + kernel - 2 * padding
         w = (n_w - 1) * stride + kernel - 2 * padding
         assume(h >= 1 and w >= 1)
-        assert_adjoint(lambda t: unfold(t, kernel, stride, padding), (c, h, w), seed)
+        assert_adjoint(lambda t: unfold(t, kernel, stride, padding), [(c, h, w)], seed)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -156,7 +157,7 @@ class TestAdjoints:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bicubic_resize(self, c, h, w, out_h, out_w, seed):
-        assert_adjoint(lambda t: bicubic_resize(t, out_h, out_w), (c, h, w), seed)
+        assert_adjoint(lambda t: bicubic_resize(t, out_h, out_w), [(c, h, w)], seed)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(case=_rearrange_cases(), seed=st.integers(0, 2**32 - 1))
@@ -164,7 +165,17 @@ class TestAdjoints:
         lhs, rhs, sizes, bindings = case
         spec = parse_rearrange(f"{_side(lhs)} -> {_side(rhs)}", bindings)
         shape = tuple(math.prod(sizes[a] for a in g) for g in lhs)
-        assert_adjoint(lambda t: apply_rearrange(spec, t), shape, seed)
+        assert_adjoint(lambda t: apply_rearrange(spec, t), [shape], seed)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_concat(self, axis):
+        # Pieces of 1, 3 and 2 along the concat axis, 2 x 3 x 4 elsewhere.
+        shapes = []
+        for length in (1, 3, 2):
+            shape = [2, 3, 4]
+            shape[axis] = length
+            shapes.append(tuple(shape))
+        assert_adjoint(lambda *ts: concat(ts, axis), shapes, seed=axis)
 
 
 class TestGradCheck:

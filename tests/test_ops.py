@@ -306,6 +306,28 @@ class TestBicubic:
         want = _bicubic_oracle(x, *out_hw)
         assert np.max(np.abs(got - want)) < 1e-12
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("out_hw", [(4, 3), (13, 11), (7, 6)], ids=["down", "up", "same"])
+    def test_bitwise_equal_to_per_tap_loop(self, out_hw, dtype):
+        # Each axis: ((x0*w0 + x1*w1) + x2*w2) + x3*w3 per output index,
+        # with the taps and weights of the plan, summed one at a time.
+        x = Tensor(np.random.default_rng(9).normal(size=(2, 7, 6)), dtype=dtype).numpy()
+        want = x
+        for axis, n_out in ((1, out_hw[0]), (2, out_hw[1])):
+            idx, weights = ops._resize_plan(want.shape[axis], n_out)
+            weights = weights.astype(x.dtype)
+            src = np.moveaxis(want, axis, -1)
+            res = np.empty(src.shape[:-1] + (n_out,), dtype=x.dtype)
+            for o in range(n_out):
+                acc = src[..., idx[o, 0]] * weights[o, 0]
+                for k in range(1, 4):
+                    acc = acc + src[..., idx[o, k]] * weights[o, k]
+                res[..., o] = acc
+            want = np.moveaxis(res, -1, axis)
+        got = bicubic_resize(Tensor(x), *out_hw).numpy()
+        assert got.dtype == x.dtype
+        assert np.array_equal(got, want)
+
     def test_constant_field_preserved(self):
         x = np.full((3, 6, 5), -1.25)
         out = bicubic_resize(Tensor(x), 13, 7).numpy()

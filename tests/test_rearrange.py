@@ -75,7 +75,7 @@ class TestParser:
 
     def test_non_int_lengths_are_rejected_after_the_int_is_cached(self):
         parse_rearrange("a b -> b a", {"a": 2})
-        for length in (np.int64(2), 2.0):
+        for length in (np.int64(2), 2.0, True):
             with pytest.raises(RearrangeError, match="positive integer length"):
                 parse_rearrange("a b -> b a", {"a": length})
 

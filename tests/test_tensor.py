@@ -237,13 +237,15 @@ class TestUnfold:
         out = unfold(x, kernel=4, stride=2, padding=1)
         assert not out.numpy().any()
 
-    def test_matches_patch_loop_oracle(self):
-        rng = np.random.default_rng(3)
-        c, h, w, k, p, q = 2, 6, 8, 4, 2, 1
-        x = rng.normal(size=(c, h, w))
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("k, p, q", [(4, 4, 0), (8, 4, 2), (2, 2, 0), (4, 2, 1)])
+    def test_matches_patch_loop_oracle(self, k, p, q, dtype):
+        # The presets' (kernel, stride, padding) geometries on a non-square image.
+        c, h, w = 2, 8, 12
+        x = Tensor(np.random.default_rng(3).normal(size=(c, h, w)), dtype=dtype).numpy()
         got = unfold(Tensor(x), kernel=k, stride=p, padding=q).numpy()
 
-        padded = np.zeros((c, h + 2 * q, w + 2 * q))
+        padded = np.zeros((c, h + 2 * q, w + 2 * q), dtype=x.dtype)
         padded[:, q : q + h, q : q + w] = x
         cols = []
         for i in range(0, h + 2 * q - k + 1, p):
