@@ -3,22 +3,24 @@
 Token-mixing parameters are sized for the grid the model was built for.
 To run at another resolution, each token-mixing block is wrapped in a
 bicubic sandwich: resample the runtime token grid to the build grid,
-mix, resample back. Channel mixing and patch embedding are grid-size
-agnostic and run untouched. Because a same-size bicubic resize is the
-bitwise identity, the adapted forward pass reproduces the plain one
-exactly at the native resolution.
+mix, resample back. The resample reads the [tokens, c] tensor as its
+[h, w, c] grid and works in that layout, with no transpose. Channel
+mixing and patch embedding are grid-size agnostic and run untouched.
+A resample axis whose plan is the identity (same size, so taps
+(0, 1, 0, 0) exactly) is skipped, so at the native resolution the
+adapted forward pass is the plain one, bit for bit.
 
-The image itself is first snapped to the nearest multiple of the total
-level stride (round half up, minimum one stride) so every level's
-unfolding tiles evenly. Each extent may be at most ``MAX_EXTENT``
-pixels; larger images are refused before anything is resampled.
+The image must be [3, h, w] in the model's dtype. It is first snapped
+to the nearest multiple of the total level stride (round half up,
+minimum one stride) so every level's unfolding tiles evenly. Each
+extent may be at most ``MAX_EXTENT`` pixels; larger images are refused
+before anything is resampled.
 """
 
 from __future__ import annotations
 
 from .models import Model, _classify, _run_levels, token_mix
-from .ops import bicubic_resize
-from .rearrange import rearrange
+from .ops import _resize_grid, bicubic_resize
 from .tensor import PatchGrid, ShapeError, Tensor
 
 # Activations grow with the pixel count: at 1024 x 1024 an f32 raftmlp-l
@@ -54,20 +56,29 @@ def adapted_token_mixing(
     """Token mixing inside a resample-to-train-grid sandwich.
 
     [tokens, c] in, [tokens, c] out on the runtime grid. When the grids
-    coincide the sandwich collapses to the plain block, bit for bit.
+    coincide both resamples are skipped and this is the plain block.
     """
-    planes = rearrange(x, "(h w) c -> c h w", h=run_grid.h_prime, w=run_grid.w_prime)
-    planes = bicubic_resize(planes, train_grid.h_prime, train_grid.w_prime)
-    tokens = rearrange(planes, "c h w -> (h w) c")
+    c = x.shape[-1]
+    run = (run_grid.h_prime, run_grid.w_prime)
+    train = (train_grid.h_prime, train_grid.w_prime)
+    tokens = _resize_grid(x, run + (c,), 0, *train)
     tokens = token_mix(tokens, params, train_grid)
-    planes = rearrange(tokens, "(h w) c -> c h w", h=train_grid.h_prime, w=train_grid.w_prime)
-    planes = bicubic_resize(planes, run_grid.h_prime, run_grid.w_prime)
-    return rearrange(planes, "c h w -> (h w) c")
+    return _resize_grid(tokens, train + (c,), 0, *run)
 
 
 def forward_adapted(model: Model, image: Tensor) -> Tensor:
-    """Logits for a [3, h, w] image with 1 <= h, w <= ``MAX_EXTENT``."""
-    if image.rank == 3 and max(image.shape[1:]) > MAX_EXTENT:
+    """Logits for a [3, h, w] image with 1 <= h, w <= ``MAX_EXTENT``.
+
+    The image must have the model's dtype; anything else raises
+    ``ShapeError`` before it is resampled.
+    """
+    dtype = model.head.weight.dtype
+    if image.rank != 3 or image.shape[0] != 3 or image.dtype != dtype:
+        raise ShapeError(
+            f"forward_adapted expects a [3, h, w] {dtype} image, "
+            f"got {image.dtype} {image.shape}"
+        )
+    if max(image.shape[1:]) > MAX_EXTENT:
         raise ShapeError(
             f"forward_adapted: image {image.shape[1]}x{image.shape[2]} exceeds "
             f"the {MAX_EXTENT}-pixel cap on each extent"

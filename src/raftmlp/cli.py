@@ -90,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--adapt-resolution", action="store_true",
                    help="bicubic-adapt arbitrary image sizes to the model grid")
-    p.add_argument("--topk", type=int, default=5)
+    p.add_argument("--topk", type=_at_least(1), default=5,
+                   help="rows to print (default 5; above the class count, all)")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     p.add_argument("--block", choices=("all",) + BLOCK_NAMES, default="all")
@@ -180,7 +181,7 @@ def _cmd_forward(args) -> int:
     else:
         logits = forward(model, image)
     probs = softmax(logits).numpy()
-    k = max(1, min(args.topk, probs.shape[0]))
+    k = min(args.topk, probs.shape[0])
     order = probs.argsort()[::-1][:k]
     for rank, idx in enumerate(order, start=1):
         print(f"{rank}: class {int(idx)} p={probs[idx]:.6f}")

@@ -7,7 +7,9 @@ and ``layer_norm`` lives in plain-array helpers, ``_linear_forward`` /
 ``_linear_vjp`` and ``_layer_norm_forward`` / ``_layer_norm_vjp``, which
 ``blocks.mixing_mlp`` shares, so each formula is written once.
 ``bicubic_resize`` resamples one axis at a time: one gather per tap, and
-the four weighted taps summed in a fixed order.
+the four weighted taps summed in a fixed order. ``_resize_grid`` runs the
+same arithmetic on a [c, h, w] tensor or on a [h * w, c] token tensor in
+its own layout, and skips an axis whose plan is the identity.
 """
 
 from __future__ import annotations
@@ -322,18 +324,37 @@ def _resize_plan(n_in: int, n_out: int):
     return np.clip(idx, 0, n_in - 1), weights
 
 
+# The taps of a same-size plan: the centre sample, weighted exactly one.
+_IDENTITY_TAPS = np.array([0.0, 1.0, 0.0, 0.0])
+
+
 def _resize_axis(arr: np.ndarray, axis: int, n_out: int):
-    """Resample one axis: each tap gathered once, the four summed in a fixed order."""
-    idx, weights = _resize_plan(arr.shape[axis], n_out)
+    """Resample one axis: each tap gathered once, the four summed in a fixed order.
+
+    Returns the result and the plan ``_resize_axis_vjp`` reads. When the
+    plan from ``_resize_plan`` is exactly the identity (centre tap i on
+    row i, weights (0, 1, 0, 0)), the result is ``arr`` itself and the
+    plan None.
+    """
+    n_in = arr.shape[axis]
+    idx, weights = _resize_plan(n_in, n_out)
+    if (
+        n_out == n_in
+        and np.array_equal(idx[:, 1], np.arange(n_in))
+        and (weights == _IDENTITY_TAPS).all()
+    ):
+        return arr, None
     weights = weights.astype(arr.dtype)
     wshape = [1] * arr.ndim
     wshape[axis] = n_out
     tap = lambda k: np.take(arr, idx[:, k], axis=axis) * weights[:, k].reshape(wshape)
-    out = ((tap(0) + tap(1)) + tap(2)) + tap(3)
-    return out, idx, weights
+    return ((tap(0) + tap(1)) + tap(2)) + tap(3), (idx, weights)
 
 
-def _resize_axis_vjp(g: np.ndarray, n_in: int, axis: int, idx, weights) -> np.ndarray:
+def _resize_axis_vjp(g: np.ndarray, n_in: int, axis: int, plan) -> np.ndarray:
+    if plan is None:
+        return g
+    idx, weights = plan
     shape = list(g.shape)
     shape[axis] = n_in
     acc = np.zeros(shape, dtype=g.dtype)
@@ -345,30 +366,48 @@ def _resize_axis_vjp(g: np.ndarray, n_in: int, axis: int, idx, weights) -> np.nd
     return acc
 
 
+def _resize_grid(x: Tensor, grid: tuple, axis: int, out_h: int, out_w: int) -> Tensor:
+    """Bicubic resample of axes ``axis`` (to out_h) and ``axis + 1`` (to out_w).
+
+    ``x`` is read as ``grid``: either its own shape, or its shape with
+    the two resampled axes merged into one (a row-major [h * w, c] token
+    tensor read as [h, w, c]). The result is laid out the same way. The
+    h axis is resampled first; the whole resample is one tape node, and
+    an input whose plans are both the identity comes back as ``x``.
+    """
+    if x.size != int(np.prod(grid)):
+        raise ShapeError(f"resample: a {x.shape} tensor cannot be read as {grid}")
+    arr = x.numpy().reshape(grid)
+    mid, plan_h = _resize_axis(arr, axis, out_h)
+    res, plan_w = _resize_axis(mid, axis + 1, out_w)
+    if plan_h is None and plan_w is None:
+        return x
+    shape = res.shape
+    if x.rank < len(grid):
+        shape = shape[:axis] + (out_h * out_w,) + shape[axis + 2 :]
+    out = Tensor._wrap(res.reshape(shape))
+    h, w = grid[axis], grid[axis + 1]
+
+    def vjp(g):
+        g = _resize_axis_vjp(g.reshape(res.shape), w, axis + 1, plan_w)
+        return (_resize_axis_vjp(g, h, axis, plan_h).reshape(x.shape),)
+
+    _tape.record("bicubic_resize", (x,), out, vjp)
+    return out
+
+
 def bicubic_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Separable cubic-convolution resampling of a [c, h, w] tensor.
 
     Half-pixel center alignment, border taps clamped to the edge, and the
     kernel parameter fixed at the constant a = -0.75. Each axis gathers
     its four taps, scales each by its weight and sums them in the fixed
-    order ((t0 + t1) + t2) + t3. With out == in the tap weights collapse
-    to (0, 1, 0, 0) exactly, so a same-size resize returns the input
-    bitwise.
+    order ((t0 + t1) + t2) + t3, h axis first. With out == in the plan is
+    the identity, taps (0, 1, 0, 0) exactly, and that axis is skipped, so
+    a same-size resize returns the input bitwise, -0.0 included.
     """
     if x.rank != 3:
         raise ShapeError(f"bicubic_resize needs a [c, h, w] tensor, got {x.shape}")
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"bicubic_resize: target {out_h}x{out_w} must be positive")
-    arr = x.numpy()
-    mid, idx_h, w_h = _resize_axis(arr, axis=1, n_out=out_h)
-    res, idx_w, w_w = _resize_axis(mid, axis=2, n_out=out_w)
-    out = Tensor._wrap(res)
-
-    h, w = arr.shape[1], arr.shape[2]
-
-    def vjp(g):
-        gm = _resize_axis_vjp(g, w, axis=2, idx=idx_w, weights=w_w)
-        return (_resize_axis_vjp(gm, h, axis=1, idx=idx_h, weights=w_h),)
-
-    _tape.record("bicubic_resize", (x,), out, vjp)
-    return out
+    return _resize_grid(x, x.shape, 1, out_h, out_w)

@@ -18,9 +18,10 @@ from raftmlp.models import (
     forward,
     token_mix,
 )
-from raftmlp.ops import global_avg_pool, linear
+from raftmlp.autograd import grad_check
+from raftmlp.ops import bicubic_resize, global_avg_pool, linear
 from raftmlp.rearrange import rearrange
-from raftmlp.tensor import PatchGrid, ShapeError, Tensor
+from raftmlp.tensor import PatchGrid, ShapeError, Tensor, mul, sum_all
 
 PRESET_NAMES = (
     "raftmlp-s",
@@ -98,6 +99,44 @@ class TestSandwich:
         out = adapted_token_mixing(x, model.levels[0].blocks[0].token, run, train)
         assert out.shape == (run.tokens, run.channels)
         assert np.isfinite(out.numpy()).all()
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize(
+        "run_hw", [(6, 5), (12, 10), (8, 11), (5, 8)], ids=["down", "up", "h-same", "w-same"]
+    )
+    def test_bitwise_equal_to_resampling_planes(self, run_hw, dtype):
+        # The token-layout sandwich against the same block with each
+        # resample done by bicubic_resize on the [c, h, w] planes.
+        model = build_model(tiny_config(), dtype=dtype)
+        train = model.config.grids()[0]
+        run = PatchGrid(h_prime=run_hw[0], w_prime=run_hw[1], channels=train.channels)
+        token = model.levels[0].blocks[0].token
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(run.tokens, run.channels)), dtype=dtype)
+
+        def resample(t, src, dst):
+            planes = rearrange(t, "(h w) c -> c h w", h=src.h_prime, w=src.w_prime)
+            planes = bicubic_resize(planes, dst.h_prime, dst.w_prime)
+            return rearrange(planes, "c h w -> (h w) c")
+
+        want = resample(token_mix(resample(x, run, train), token, train), train, run)
+        got = adapted_token_mixing(x, token, run, train)
+        assert np.array_equal(got.numpy(), want.numpy())
+
+    def test_gradient_through_the_sandwich(self):
+        model = build_model(tiny_config(), dtype="f64")
+        train = model.config.grids()[0]
+        run = PatchGrid(h_prime=6, w_prime=11, channels=train.channels)
+        token = model.levels[0].blocks[0].token
+        rng = np.random.default_rng(14)
+        probe = Tensor(rng.normal(size=(run.tokens, run.channels)), dtype="f64")
+        x = Tensor(rng.normal(size=(run.tokens, run.channels)), dtype="f64")
+        report = grad_check(
+            lambda t: sum_all(mul(adapted_token_mixing(t, token, run, train), probe)),
+            x,
+            max_coords=80,
+        )
+        assert report.max_rel_err < 1e-5
 
     def test_constant_channels_pass_through_resampling(self):
         # Bicubic resampling preserves constants, layer norm sends a
@@ -189,6 +228,30 @@ class TestForwardAdapted:
         for shape in ((3, MAX_EXTENT + 1, 8), (3, 8, MAX_EXTENT + 1)):
             with pytest.raises(ShapeError, match=f"{MAX_EXTENT}-pixel cap"):
                 forward_adapted(model, Tensor(np.ones(shape), dtype="f64"))
+
+    @pytest.mark.parametrize(
+        "shape, dtype, model_dtype",
+        [
+            ((4, 300, 300), "f64", "f64"),
+            ((1, 40, 40), "f64", "f64"),
+            ((40, 40), "f64", "f64"),
+            ((3, 40, 40), "f64", "f32"),
+            ((3, 40, 40), "f32", "f64"),
+        ],
+        ids=["four-channels", "one-channel", "rank-2", "f64-on-f32-model", "f32-on-f64-model"],
+    )
+    def test_image_is_checked_before_resampling(self, monkeypatch, shape, dtype, model_dtype):
+        import raftmlp.adapt as adapt
+
+        model = build_model(tiny_config(), dtype=model_dtype)
+
+        def no_resize(*args):
+            raise AssertionError("pre_embed_resize ran on a misfit image")
+
+        monkeypatch.setattr(adapt, "pre_embed_resize", no_resize)
+        image = Tensor(np.ones(shape), dtype=dtype)
+        with pytest.raises(ShapeError, match=rf"\[3, h, w\] {model_dtype} image"):
+            forward_adapted(model, image)
 
     def test_off_stride_input_is_snapped_first(self):
         # 197 x 131 snaps to 192 x 128, after which both run and train

@@ -159,6 +159,21 @@ class TestAdjoints:
     def test_bicubic_resize(self, c, h, w, out_h, out_w, seed):
         assert_adjoint(lambda t: bicubic_resize(t, out_h, out_w), [(c, h, w)], seed)
 
+    @pytest.mark.parametrize("layout", ["planes", "tokens"])
+    @pytest.mark.parametrize(
+        "out_hw",
+        [(3, 4), (9, 11), (6, 7), (6, 10), (4, 7)],
+        ids=["down", "up", "same", "h-same", "w-same"],
+    )
+    def test_resize_grid(self, layout, out_hw):
+        # The two-axis resample on [c, h, w] planes and on [h * w, c] tokens.
+        h, w, c = 6, 7, 3
+        if layout == "planes":
+            shape, grid, axis = (c, h, w), (c, h, w), 1
+        else:
+            shape, grid, axis = (h * w, c), (h, w, c), 0
+        assert_adjoint(lambda t: ops._resize_grid(t, grid, axis, *out_hw), [shape], seed=sum(out_hw))
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(case=_rearrange_cases(), seed=st.integers(0, 2**32 - 1))
     def test_apply_rearrange(self, case, seed):

@@ -171,6 +171,25 @@ class TestForward:
         assert main(argv) == EX_OK
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
+    @pytest.mark.parametrize("topk", ["0", "-3", "two"])
+    def test_topk_below_one_is_usage_error(self, capsys, weights_path, image_224, topk):
+        argv = [
+            "forward", "raftmlp-s",
+            "--weights", weights_path, "--image", image_224, "--topk", topk,
+        ]
+        assert main(argv) == EX_USAGE
+        captured = capsys.readouterr()
+        assert "error: argument --topk" in captured.err and captured.out == ""
+
+    def test_topk_above_the_class_count_prints_every_class(self, capsys, weights_path, image_224):
+        argv = [
+            "forward", "raftmlp-s",
+            "--weights", weights_path, "--image", image_224, "--topk", "5000",
+        ]
+        assert main(argv) == EX_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1000 and lines[-1].startswith("1000: class 0 p=")
+
     def test_probabilities_sum_to_one(self, capsys, weights_path, image_224):
         argv = [
             "forward", "raftmlp-s",

@@ -328,6 +328,51 @@ class TestBicubic:
         assert got.dtype == x.dtype
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize(
+        "out_hw",
+        [(4, 3), (13, 11), (7, 6), (7, 10), (3, 6)],
+        ids=["down", "up", "same", "h-same", "w-same"],
+    )
+    def test_token_layout_bitwise_equal_to_planes(self, out_hw, dtype):
+        # A [h * w, c] token tensor resampled in its own layout gives the
+        # bits of bicubic_resize on its [c, h, w] planes.
+        h, w, c = 7, 6, 5
+        tokens = np.random.default_rng(10).normal(size=(h * w, c))
+        got = ops._resize_grid(Tensor(tokens, dtype=dtype), (h, w, c), 0, *out_hw).numpy()
+        planes = Tensor(tokens.T.reshape(c, h, w), dtype=dtype)
+        want = bicubic_resize(planes, *out_hw).numpy().reshape(c, -1).T
+        assert got.shape == (out_hw[0] * out_hw[1], c) and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_same_size_skip_is_keyed_on_the_plan(self, monkeypatch):
+        # A plan whose taps are shifted by one is not the identity, so a
+        # same-size resize runs it instead of returning its input.
+        x = Tensor(np.random.default_rng(11).normal(size=(2, 6, 5)))
+        plan = ops._resize_plan
+
+        def shifted(n_in, n_out):
+            idx, weights = plan(n_in, n_out)
+            return np.clip(idx + 1, 0, n_in - 1), weights
+
+        monkeypatch.setattr(ops, "_resize_plan", shifted)
+        out = bicubic_resize(x, 6, 5).numpy()
+        assert not np.array_equal(out, x.numpy())
+        assert np.array_equal(out, x.numpy()[:, [1, 2, 3, 4, 5, 5]][:, :, [1, 2, 3, 4, 4]])
+        tokens = Tensor(x.numpy().reshape(2, -1).T)
+        moved = ops._resize_grid(tokens, (6, 5, 2), 0, 6, 5).numpy()
+        assert np.array_equal(moved, out.reshape(2, -1).T)
+
+    def test_same_size_keeps_negative_zero(self):
+        x = Tensor(np.array([[[1.0, -0.0, 2.0], [3.0, 4.0, 5.0]]]))
+        out = bicubic_resize(x, 2, 3).numpy()
+        assert np.array_equal(np.signbit(out), np.signbit(x.numpy()))
+        assert np.array_equal(out, x.numpy())
+
+    def test_resample_rejects_a_grid_of_another_size(self):
+        with pytest.raises(ShapeError):
+            ops._resize_grid(Tensor(np.zeros((12, 3))), (3, 3, 3), 0, 2, 2)
+
     def test_constant_field_preserved(self):
         x = np.full((3, 6, 5), -1.25)
         out = bicubic_resize(Tensor(x), 13, 7).numpy()
