@@ -19,17 +19,14 @@ from typing import Any, Callable, Optional
 class Node:
     """One recorded operation.
 
-    ``vjp`` maps the cotangent of the output (a numpy array) to a tuple of
-    cotangents aligned with ``inputs``; entries may be None for inputs the
-    operation does not differentiate through. ``vjp`` itself may be None
-    for ops recorded without an adjoint, which makes backward fail loudly
-    instead of silently dropping gradient.
+    ``vjp`` is required: it maps the cotangent of the output (a numpy
+    array) to a tuple of cotangents, one array per entry of ``inputs``.
     """
 
     op: str
     inputs: tuple
     output: Any
-    vjp: Optional[Callable]
+    vjp: Callable
 
 
 @dataclass
@@ -62,7 +59,7 @@ def active() -> Optional[Trace]:
     return stack[-1] if stack else None
 
 
-def record(op: str, inputs: tuple, output: Any, vjp: Optional[Callable]) -> None:
+def record(op: str, inputs: tuple, output: Any, vjp: Callable) -> None:
     trace = active()
     if trace is not None:
         trace.nodes.append(Node(op, tuple(inputs), output, vjp))

@@ -19,7 +19,7 @@ before anything is resampled.
 
 from __future__ import annotations
 
-from .models import Model, _classify, _run_levels, token_mix
+from .models import Model, _check_image, _classify, _run_levels, token_mix
 from .ops import _resize_grid, bicubic_resize
 from .tensor import PatchGrid, ShapeError, Tensor
 
@@ -72,12 +72,7 @@ def forward_adapted(model: Model, image: Tensor) -> Tensor:
     The image must have the model's dtype; anything else raises
     ``ShapeError`` before it is resampled.
     """
-    dtype = model.head.weight.dtype
-    if image.rank != 3 or image.shape[0] != 3 or image.dtype != dtype:
-        raise ShapeError(
-            f"forward_adapted expects a [3, h, w] {dtype} image, "
-            f"got {image.dtype} {image.shape}"
-        )
+    _check_image(model, image, "forward_adapted")
     if max(image.shape[1:]) > MAX_EXTENT:
         raise ShapeError(
             f"forward_adapted: image {image.shape[1]}x{image.shape[2]} exceeds "

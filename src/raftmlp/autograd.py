@@ -36,48 +36,31 @@ def trace():
         _tape.pop()
 
 
-def backward(tr: Trace, output: Tensor, wrt: Optional[Iterable[Tensor]] = None) -> dict:
-    """Gradients of a scalar output with respect to traced leaf tensors.
+def backward(tr: Trace, output: Tensor, wrt: Iterable[Tensor]) -> dict:
+    """Gradients of a scalar output with respect to the tensors in ``wrt``.
 
-    Returns a dict keyed by tensor identity. With ``wrt`` given, exactly
-    those tensors are returned (zeros when the output does not depend on
-    one); otherwise every leaf of the trace (a tensor consumed by some op
-    but produced by none) is returned.
+    ``wrt`` is required. Returns a dict keyed by tensor identity holding
+    exactly those tensors, with zeros for one the output does not depend on.
     """
     if output.size != 1:
         raise ValueError(f"backward needs a scalar output, got shape {output.shape}")
     grads: dict[int, np.ndarray] = {
         id(output): np.ones_like(output.numpy())
     }
-    produced = {id(node.output) for node in tr.nodes}
 
     for node in reversed(tr.nodes):
         g = grads.pop(id(node.output), None)
         if g is None:
             continue
-        if node.vjp is None:
-            raise ValueError(f"op {node.op!r} was recorded without an adjoint")
         for tin, gin in zip(node.inputs, node.vjp(g)):
-            if gin is None:
-                continue
             key = id(tin)
             if key in grads:
                 grads[key] = grads[key] + gin
             else:
                 grads[key] = gin
 
-    if wrt is not None:
-        targets = list(wrt)
-    else:
-        targets, seen = [], set()
-        for node in tr.nodes:
-            for tin in node.inputs:
-                if id(tin) not in produced and id(tin) not in seen:
-                    seen.add(id(tin))
-                    targets.append(tin)
-
     out = {}
-    for t in targets:
+    for t in wrt:
         g = grads.get(id(t))
         if g is None:
             g = np.zeros_like(t.numpy())
@@ -108,7 +91,8 @@ def grad_check(
     ``f`` must map a tensor to a scalar tensor and be pure. All
     coordinates are checked unless ``max_coords`` caps them, in which
     case a seeded random subset is used; a cap below 1 would check
-    nothing and is a ValueError. f64 only. The relative error
+    nothing and is a ValueError, as is a step ``h`` that is not finite
+    and positive. f64 only. The relative error
     denominator is max(|analytic|, |numeric|, floor) with floor =
     max(1e-8, 1e-3 * max|analytic|) over the whole gradient, so finite-
     difference noise on a near-zero coordinate is judged at the gradient's
@@ -118,6 +102,8 @@ def grad_check(
         raise ValueError("grad_check requires an f64 input tensor")
     if max_coords is not None and max_coords < 1:
         raise ValueError(f"grad_check: max_coords must be >= 1, got {max_coords}")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"grad_check: step h must be finite and positive, got {h}")
     with trace() as tr:
         y = f(x)
     if y.size != 1:

@@ -63,10 +63,6 @@ class MixingParams:
                 f"MixingParams: fc1 input {self.fc1.d_in} != fc2 output {self.fc2.d_out}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.fc1.d_in
-
 
 @dataclass(frozen=True)
 class RaftTokenMixingParams:
@@ -106,10 +102,6 @@ class EmbedParams:
                 "EmbedParams: stride must be even when a scale m >= 1 is present "
                 "(padding (2^m - 1) * stride / 2 must be an integer)"
             )
-
-    @property
-    def c_out(self) -> int:
-        return self.projection.d_out
 
 
 def _check_mlp_axis(shape: tuple, p: MixingParams) -> None:

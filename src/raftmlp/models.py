@@ -72,9 +72,14 @@ class LevelConfig:
     token_hidden: Optional[int] = None  # absolute hidden width, plain mixing only
 
     def __post_init__(self):
+        if not self.scales or any(
+            not isinstance(m, int) or isinstance(m, bool) or m < 0 for m in self.scales
+        ):
+            raise ValueError(f"LevelConfig: scales must be one or more ints >= 0: {self.scales}")
         object.__setattr__(self, "scales", tuple(sorted(set(self.scales))))
-        if self.channels < 1 or self.depth < 1 or self.stride < 1:
-            raise ValueError("LevelConfig: channels, depth, stride must be >= 1")
+        for name in ("channels", "depth", "stride", "raft_size", "e_ver", "e_hor", "e_chan"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"LevelConfig: {name} must be >= 1")
         if self.mixing not in ("raft", "plain"):
             raise ValueError(f"LevelConfig: unknown mixing {self.mixing!r}")
         if self.mixing == "raft":
@@ -281,24 +286,34 @@ def _classify(model: Model, tokens: Tensor) -> Tensor:
     return linear(global_avg_pool(tokens), model.head)
 
 
-def _check_native(model: Model, image: Tensor) -> None:
+def _check_image(model: Model, image: Tensor, entry: str) -> None:
+    """Raise ``ShapeError`` unless ``image`` is [3, h, w] in the model's dtype."""
+    dtype = model.head.weight.dtype
+    if image.rank != 3 or image.shape[0] != 3 or image.dtype != dtype:
+        raise ShapeError(
+            f"{entry} expects a [3, h, w] {dtype} image, got {image.dtype} {image.shape}"
+        )
+
+
+def _check_native(model: Model, image: Tensor, entry: str) -> None:
+    _check_image(model, image, entry)
     expected = (3,) + model.config.resolution
     if image.shape != expected:
         raise ShapeError(
-            f"forward expects an image of shape {expected}, got {image.shape}; "
+            f"{entry} expects an image of shape {expected}, got {image.shape}; "
             "use raftmlp.adapt.forward_adapted for other resolutions"
         )
 
 
 def forward(model: Model, image: Tensor) -> Tensor:
-    """Logits for one [3, h, w] image at the configured resolution."""
-    _check_native(model, image)
+    """Logits for one [3, h, w] image in the model's dtype at the configured resolution."""
+    _check_native(model, image, "forward")
     return _classify(model, _run_levels(model, image, _native_token_mix)[-1])
 
 
 def level_outputs(model: Model, image: Tensor) -> list:
-    """Post-block token tensors [tokens_l, c_l], one per level."""
-    _check_native(model, image)
+    """Post-block token tensors [tokens_l, c_l], one per level, for a ``forward`` image."""
+    _check_native(model, image, "level_outputs")
     return _run_levels(model, image, _native_token_mix)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import erf
 
 from . import _tape
-from .tensor import ShapeError, Tensor, map_unary, seq_sum
+from .tensor import ShapeError, Tensor, seq_sum
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -265,7 +265,10 @@ def gelu(x: Tensor) -> Tensor:
     a rational erf within 8 ulp of the correctly rounded value, which puts
     f32 GELU within 2e-6 of the f64 result and its derivative within 1e-6.
     """
-    return map_unary(x, _gelu_forward, _gelu_derivative, op="gelu")
+    arr = x.numpy()
+    out = Tensor._wrap(_gelu_forward(arr))
+    _tape.record("gelu", (x,), out, lambda g: (g * _gelu_derivative(arr),))
+    return out
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -8,7 +8,7 @@ its output once, inside an autograd trace or outside one.
 
 Reductions that this module owns (``sum_all`` and helpers used by the
 neural ops) accumulate strictly left to right so repeated runs are
-bit-identical. ``matmul`` delegates to the platform BLAS, whose inner
+bit-identical. ``ops.linear`` delegates to the platform BLAS, whose inner
 accumulation order is implementation-defined but deterministic within a
 process; it is validated against a naive oracle by tolerance, not bits.
 """
@@ -163,22 +163,6 @@ class PatchGrid:
         return self.h_prime * self.w_prime
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    if a.rank != 2 or b.rank != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ ({a.shape} x {b.shape})")
-    _same_dtype(a, b, "matmul")
-    out = Tensor._wrap(a.numpy() @ b.numpy())
-
-    def vjp(g):
-        return g @ b.numpy().T, a.numpy().T @ g
-
-    _tape.record("matmul", (a, b), out, vjp)
-    return out
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     if a.shape != b.shape:
@@ -196,24 +180,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype(a, b, "mul")
     out = Tensor._wrap(a.numpy() * b.numpy())
     _tape.record("mul", (a, b), out, lambda g: (g * b.numpy(), g * a.numpy()))
-    return out
-
-
-def map_unary(t: Tensor, f, df=None, op: str = "map_unary") -> Tensor:
-    """Apply a vectorized scalar function elementwise.
-
-    ``f`` (and the optional derivative ``df``) take and return numpy
-    arrays. Without ``df`` the result still computes, but a backward pass
-    through it fails with an unregistered-adjoint error.
-    """
-    arr = t.numpy()
-    out = Tensor._wrap(np.asarray(f(arr), dtype=arr.dtype))
-    if out.shape != t.shape:
-        raise ShapeError(f"{op}: function changed the shape ({t.shape} -> {out.shape})")
-    vjp = None
-    if df is not None:
-        vjp = lambda g: (g * np.asarray(df(arr), dtype=arr.dtype),)
-    _tape.record(op, (t,), out, vjp)
     return out
 
 

@@ -172,6 +172,20 @@ class TestPresetConfigs:
             LevelConfig(channels=8, depth=1, stride=2, token_hidden=9)  # raft + token_hidden
         with pytest.raises(ValueError):
             ModelConfig(name="empty", levels=())
+        bad_block_settings = [
+            {"raft_size": 0},
+            {"raft_size": -2},
+            {"e_ver": 0},
+            {"e_hor": 0},
+            {"e_chan": 0},
+            {"scales": ()},
+            {"scales": (-1,)},
+            {"scales": (0, True)},
+            {"scales": (0.0,)},
+        ]
+        for kwargs in bad_block_settings:
+            with pytest.raises(ValueError, match="LevelConfig"):
+                LevelConfig(channels=8, depth=1, stride=2, **kwargs)
 
 
 class TestBuild:
@@ -278,6 +292,21 @@ class TestForward:
         with pytest.raises(ShapeError) as exc_info:
             forward(model, Tensor(np.zeros((3, 16, 16))))
         assert "forward_adapted" in str(exc_info.value)
+
+    # forward_adapted's dtype cases are in test_adapt's image check.
+    @pytest.mark.parametrize("entry", ["forward", "level_outputs"])
+    @pytest.mark.parametrize("image_dtype, model_dtype", [("f64", "f32"), ("f32", "f64")])
+    def test_image_dtype_is_checked_on_entry(self, monkeypatch, entry, image_dtype, model_dtype):
+        import raftmlp.models as models
+
+        def no_embed(*args):
+            raise AssertionError("the embed ran on an image of the wrong dtype")
+
+        monkeypatch.setattr(models, "multi_scale_patch_embed", no_embed)
+        model = build_model(tiny32_config(), init="zeros", dtype=model_dtype)
+        image = Tensor(np.zeros((3, 32, 32)), dtype=image_dtype)
+        with pytest.raises(ShapeError, match=rf"{entry} expects a \[3, h, w\] {model_dtype} image"):
+            getattr(raftmlp, entry)(model, image)
 
     def test_level_outputs_shapes(self):
         model = build_model(tiny32_config(), dtype="f64")

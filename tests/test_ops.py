@@ -36,6 +36,21 @@ GELU_TABLE = {
 }
 
 
+def _matmul_oracle(a, b):
+    """Naive triple loop, the slowest possible correct matmul."""
+    n, k = a.shape
+    k2, m = b.shape
+    assert k == k2
+    out = np.zeros((n, m), dtype=a.dtype)
+    for i in range(n):
+        for j in range(m):
+            acc = 0.0
+            for t in range(k):
+                acc += a[i, t] * b[t, j]
+            out[i, j] = acc
+    return out
+
+
 def _ln_params(c, gamma=None, beta=None, eps=1e-6, dtype="f64"):
     return LayerNormParams(
         gamma=Tensor(np.full(c, 1.0 if gamma is None else gamma), dtype=dtype),
@@ -77,6 +92,24 @@ class TestLinear:
         lhs = linear(xy, p).numpy() - linear(y, p).numpy()
         rhs = linear(x, p).numpy() - linear(zero, p).numpy()
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_triple_loop_oracle(self, seed):
+        # BLAS against a loop that calls no BLAS, with one-row and one-column
+        # shapes that BLAS may route through its matrix-vector kernels.
+        rng = np.random.default_rng(seed)
+        for n, k, m in ((5, 7, 3), (1, 7, 3), (5, 7, 1), (1, 7, 1), (4, 1, 6)):
+            x = rng.normal(size=(n, k))
+            w = rng.normal(size=(k, m))
+            b = rng.normal(size=m)
+            got = linear(Tensor(x), LinearParams(weight=Tensor(w), bias=Tensor(b))).numpy()
+            want = _matmul_oracle(x, w) + b
+            assert np.max(np.abs(got - want)) <= 1e-12, (n, k, m)
+
+    def test_dtype_mismatch(self):
+        p = LinearParams(weight=Tensor(np.zeros((2, 2))), bias=Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError, match="dtype mismatch"):
+            linear(Tensor(np.zeros((3, 2)), dtype="f32"), p)
 
     def test_dimension_mismatch(self):
         p = LinearParams(weight=Tensor(np.zeros((3, 2))), bias=Tensor(np.zeros(2)))

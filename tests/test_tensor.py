@@ -10,28 +10,11 @@ from raftmlp.tensor import (
     Tensor,
     add,
     concat,
-    map_unary,
-    matmul,
     mul,
     seq_sum,
     sum_all,
     unfold,
 )
-
-
-def _matmul_oracle(a, b):
-    """Naive triple loop, the slowest possible correct matmul."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=a.dtype)
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 class TestTensorType:
@@ -90,40 +73,6 @@ class TestPatchGrid:
             PatchGrid(h, w, c)
 
 
-class TestMatmul:
-    def test_identity(self):
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        eye = Tensor(np.eye(2))
-        assert np.array_equal(matmul(eye, x).numpy(), x.numpy())
-
-    def test_hand_product(self):
-        out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-        assert out.tolist() == [[11.0]]
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_triple_loop_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        got = matmul(Tensor(a), Tensor(b)).numpy()
-        want = _matmul_oracle(a, b)
-        assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-
-    def test_dtype_mismatch(self):
-        a = Tensor(np.zeros((2, 2)), dtype="f32")
-        b = Tensor(np.zeros((2, 2)), dtype="f64")
-        with pytest.raises(ShapeError):
-            matmul(a, b)
-
-    def test_rejects_rank_1(self):
-        with pytest.raises(ShapeError):
-            matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
-
-
 class TestElementwise:
     def test_add_zeros_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
@@ -137,10 +86,6 @@ class TestElementwise:
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[5.0, 6.0], [7.0, 8.0]])
         assert mul(a, b).tolist() == [[5.0, 12.0], [21.0, 32.0]]
-
-    def test_map_unary_applies_scalar_function(self):
-        x = Tensor([0.0, 1.0, 4.0])
-        assert map_unary(x, np.sqrt).tolist() == [0.0, 1.0, 2.0]
 
     def test_sum_all_scalar(self):
         assert sum_all(Tensor([[1.0, 2.0], [3.0, 4.0]])).item() == 10.0
