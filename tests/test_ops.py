@@ -70,6 +70,17 @@ class TestLinear:
         out = linear(Tensor([[1.0, 2.0]]), p)
         assert out.tolist() == [[11.5]]
 
+    def test_identity_input(self):
+        # eye @ W + 0 returns W: identity as the left operand of the GEMM
+        w = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        p = LinearParams(weight=w, bias=Tensor.zeros((2,), dtype="f64"))
+        assert np.array_equal(linear(Tensor(np.eye(2)), p).numpy(), w.numpy())
+
+    def test_hand_product_zero_bias(self):
+        p = LinearParams(weight=Tensor([[3.0], [4.0]]), bias=Tensor([0.0]))
+        out = linear(Tensor([[1.0, 2.0]]), p)
+        assert out.tolist() == [[11.0]]
+
     def test_batched_equals_per_site_loop(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 7, 3))
@@ -115,6 +126,12 @@ class TestLinear:
         p = LinearParams(weight=Tensor(np.zeros((3, 2))), bias=Tensor(np.zeros(2)))
         with pytest.raises(ShapeError):
             linear(Tensor(np.zeros((5, 4))), p)
+
+    def test_inner_dimension_mismatch(self):
+        # (2, 3) @ (4, 2): inner dimensions 3 and 4 disagree
+        p = LinearParams(weight=Tensor(np.zeros((4, 2))), bias=Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError):
+            linear(Tensor(np.zeros((2, 3))), p)
 
     def test_params_validate_shapes(self):
         with pytest.raises(ShapeError):
