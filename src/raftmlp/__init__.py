@@ -4,51 +4,16 @@ The package bundles a small immutable tensor core with reverse-mode
 differentiation, an axis-rearrangement language, the mixing blocks and
 model presets, a dual analytic/exact cost model, bicubic resolution
 adaptation, and binary weight/image IO behind a single CLI.
+
+The top level holds the model-level API: presets, building, the forward
+passes, parameters and weights, cost and the gradient check. Lower layers
+are imported from their modules, e.g. ``from raftmlp.tensor import unfold``.
 """
 
-from .adapt import forward_adapted, pre_embed_resize
-from .autograd import GradCheckReport, backward, grad_check, trace
-from .blocks import (
-    EmbedParams,
-    MixingParams,
-    RaftTokenMixingParams,
-    channel_mixing,
-    horizontal_mixing,
-    init_channel_mixing,
-    init_embed,
-    init_layer_norm,
-    init_linear,
-    init_mixing,
-    init_raft_token_mixing,
-    mixing_mlp,
-    multi_scale_patch_embed,
-    raft_token_mixing,
-    vertical_mixing,
-)
-from .container import (
-    ContainerError,
-    ContainerMagicError,
-    ContainerNameError,
-    ContainerTruncatedError,
-    ContainerVersionError,
-    load_tensors,
-    load_weights,
-    save_tensors,
-    save_weights,
-)
-from .cost import (
-    BreakevenRow,
-    CostReport,
-    CostRow,
-    breakeven_report,
-    cost_report,
-    macs_advantage,
-    params_advantage,
-    raft_mixing_macs_analytic,
-    raft_mixing_params_analytic,
-    token_mixing_macs_analytic,
-    token_mixing_params_analytic,
-)
+from .adapt import forward_adapted
+from .autograd import GradCheckReport, grad_check
+from .container import ContainerError, load_weights, save_weights
+from .cost import CostReport, cost_report
 from .models import (
     LevelConfig,
     Model,
@@ -62,116 +27,30 @@ from .models import (
     preset_config,
     replace_parameters,
 )
-from .netpbm import ImageFormatError, read_ppm, write_pgm
-from .ops import (
-    LayerNormParams,
-    LinearParams,
-    bicubic_resize,
-    gelu,
-    global_avg_pool,
-    layer_norm,
-    linear,
-    softmax,
-)
-from .rearrange import (
-    RearrangeError,
-    RearrangeSpec,
-    apply_rearrange,
-    invert,
-    parse_rearrange,
-    rearrange,
-)
-from .tensor import (
-    PatchGrid,
-    ShapeError,
-    Tensor,
-    add,
-    concat,
-    mul,
-    seq_sum,
-    sum_all,
-    unfold,
-)
+from .tensor import ShapeError, Tensor
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BreakevenRow",
     "ContainerError",
-    "ContainerMagicError",
-    "ContainerNameError",
-    "ContainerTruncatedError",
-    "ContainerVersionError",
     "CostReport",
-    "CostRow",
-    "EmbedParams",
     "GradCheckReport",
-    "ImageFormatError",
-    "LayerNormParams",
     "LevelConfig",
-    "LinearParams",
-    "MixingParams",
     "Model",
     "ModelConfig",
     "PRESETS",
-    "PatchGrid",
-    "RaftTokenMixingParams",
-    "RearrangeError",
-    "RearrangeSpec",
     "ShapeError",
     "Tensor",
-    "add",
-    "apply_rearrange",
-    "backward",
-    "bicubic_resize",
-    "breakeven_report",
     "build_model",
     "build_preset",
-    "channel_mixing",
-    "concat",
     "cost_report",
     "forward",
     "forward_adapted",
-    "gelu",
-    "global_avg_pool",
     "grad_check",
-    "horizontal_mixing",
-    "init_channel_mixing",
-    "init_embed",
-    "init_layer_norm",
-    "init_linear",
-    "init_mixing",
-    "init_raft_token_mixing",
-    "invert",
-    "layer_norm",
     "level_outputs",
-    "linear",
-    "load_tensors",
     "load_weights",
-    "macs_advantage",
-    "mixing_mlp",
-    "mul",
-    "multi_scale_patch_embed",
     "named_parameters",
-    "params_advantage",
-    "parse_rearrange",
-    "pre_embed_resize",
     "preset_config",
-    "raft_mixing_macs_analytic",
-    "raft_mixing_params_analytic",
-    "raft_token_mixing",
-    "read_ppm",
-    "rearrange",
     "replace_parameters",
-    "save_tensors",
     "save_weights",
-    "seq_sum",
-    "softmax",
-    "sum_all",
-    "token_mixing_macs_analytic",
-    "token_mixing_params_analytic",
-    "trace",
-    "unfold",
-    "vertical_mixing",
-    "write_pgm",
 ]

@@ -91,8 +91,8 @@ def grad_check(
     ``f`` must map a tensor to a scalar tensor and be pure. All
     coordinates are checked unless ``max_coords`` caps them, in which
     case a seeded random subset is used; a cap below 1 would check
-    nothing and is a ValueError, as is a step ``h`` that is not finite
-    and positive. f64 only. The relative error
+    nothing and is a ValueError, as are a step ``h`` that is not finite
+    and positive and a negative ``seed``. f64 only. The relative error
     denominator is max(|analytic|, |numeric|, floor) with floor =
     max(1e-8, 1e-3 * max|analytic|) over the whole gradient, so finite-
     difference noise on a near-zero coordinate is judged at the gradient's
@@ -104,6 +104,8 @@ def grad_check(
         raise ValueError(f"grad_check: max_coords must be >= 1, got {max_coords}")
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"grad_check: step h must be finite and positive, got {h}")
+    if seed < 0:
+        raise ValueError(f"grad_check: seed must be >= 0, got {seed}")
     with trace() as tr:
         y = f(x)
     if y.size != 1:

@@ -41,7 +41,7 @@ from .ops import (
     _linear_vjp,
     linear,
 )
-from .rearrange import RearrangeSpec, _apply_np, apply_rearrange, bind_shape, parse_rearrange
+from .rearrange import RearrangeSpec, _apply_np, _resolve_sizes, apply_rearrange, parse_rearrange
 from .tensor import PatchGrid, ShapeError, Tensor, concat, unfold
 
 
@@ -124,8 +124,8 @@ def mixing_mlp(x: Tensor, p: MixingParams, to_mlp: RearrangeSpec | None = None) 
     arr = x.numpy()
     y, xhat, inv = _layer_norm_forward(arr, p.ln)
     if to_mlp is not None:
-        to_mlp = bind_shape(to_mlp, y.shape)
-        y = _apply_np(to_mlp.lhs, to_mlp.rhs, to_mlp.bindings, y)
+        sizes = _resolve_sizes(to_mlp, y.shape)
+        y = _apply_np(to_mlp.lhs, to_mlp.rhs, sizes, y)
     _check_mlp_axis(y.shape, p)
     _check_linear(y.shape, x.dtype, p.fc1)
     h = _linear_forward(y, p.fc1)
@@ -133,17 +133,17 @@ def mixing_mlp(x: Tensor, p: MixingParams, to_mlp: RearrangeSpec | None = None) 
     _check_linear(a.shape, x.dtype, p.fc2)
     z = _linear_forward(a, p.fc2)
     if to_mlp is not None:
-        z = _apply_np(to_mlp.rhs, to_mlp.lhs, to_mlp.bindings, z)
+        z = _apply_np(to_mlp.rhs, to_mlp.lhs, sizes, z)
     z += arr
     out = Tensor._wrap(z)
 
     def vjp(g):
-        gz = g if to_mlp is None else _apply_np(to_mlp.lhs, to_mlp.rhs, to_mlp.bindings, g)
+        gz = g if to_mlp is None else _apply_np(to_mlp.lhs, to_mlp.rhs, sizes, g)
         ga, gw2, gb2 = _linear_vjp(gz, a, p.fc2)
         # Looked up on the module, as ops.gelu does, so a patched derivative takes effect.
         gy, gw1, gb1 = _linear_vjp(ga * ops._gelu_derivative(h), y, p.fc1)
         if to_mlp is not None:
-            gy = _apply_np(to_mlp.rhs, to_mlp.lhs, to_mlp.bindings, gy)
+            gy = _apply_np(to_mlp.rhs, to_mlp.lhs, sizes, gy)
         gx, ggamma, gbeta = _layer_norm_vjp(gy, xhat, inv, p.ln)
         return g + gx, ggamma, gbeta, gw1, gb1, gw2, gb2
 

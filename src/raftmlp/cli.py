@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     p.add_argument("--block", choices=("all",) + BLOCK_NAMES, default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--seeds", type=_at_least(1), default=5, help="number of seeds from --seed up")
     p.add_argument("--max-coords", type=_at_least(1), default=40)
 

@@ -56,6 +56,11 @@ from .tensor import PatchGrid, ShapeError, Tensor
 _TOKEN_TRANSPOSE = parse_rearrange("t c -> c t")
 
 
+def _is_int(value) -> bool:
+    """An exact int: a bool is an int to Python but never a length or a count here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LevelConfig:
     """One hierarchy level: embedding geometry plus block stack settings."""
@@ -72,14 +77,13 @@ class LevelConfig:
     token_hidden: Optional[int] = None  # absolute hidden width, plain mixing only
 
     def __post_init__(self):
-        if not self.scales or any(
-            not isinstance(m, int) or isinstance(m, bool) or m < 0 for m in self.scales
-        ):
+        if not self.scales or any(not _is_int(m) or m < 0 for m in self.scales):
             raise ValueError(f"LevelConfig: scales must be one or more ints >= 0: {self.scales}")
         object.__setattr__(self, "scales", tuple(sorted(set(self.scales))))
         for name in ("channels", "depth", "stride", "raft_size", "e_ver", "e_hor", "e_chan"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"LevelConfig: {name} must be >= 1")
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"LevelConfig: {name} must be an int >= 1, got {value!r}")
         if self.mixing not in ("raft", "plain"):
             raise ValueError(f"LevelConfig: unknown mixing {self.mixing!r}")
         if self.mixing == "raft":
@@ -90,8 +94,11 @@ class LevelConfig:
                 )
             if self.token_hidden is not None:
                 raise ValueError("LevelConfig: token_hidden applies to plain mixing only")
-        elif self.token_hidden is None or self.token_hidden < 1:
-            raise ValueError("LevelConfig: plain mixing needs a positive token_hidden")
+        elif not _is_int(self.token_hidden) or self.token_hidden < 1:
+            raise ValueError(
+                "LevelConfig: plain mixing needs an int token_hidden >= 1, "
+                f"got {self.token_hidden!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -107,11 +114,20 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
-        object.__setattr__(self, "resolution", tuple(self.resolution))
+        res = self.resolution
+        if not isinstance(res, (tuple, list)) or len(res) != 2 or not all(
+            _is_int(v) and v >= 1 for v in res
+        ):
+            raise ValueError(f"ModelConfig: resolution must be two ints >= 1, got {res!r}")
+        object.__setattr__(self, "resolution", tuple(res))
         if not self.levels:
             raise ValueError("ModelConfig: at least one level")
-        if self.num_classes < 1:
-            raise ValueError("ModelConfig: num_classes must be >= 1")
+        if not _is_int(self.num_classes) or self.num_classes < 1:
+            raise ValueError(
+                f"ModelConfig: num_classes must be an int >= 1, got {self.num_classes!r}"
+            )
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"ModelConfig: seed must be an int >= 0, got {self.seed!r}")
         self.grids()
 
     @property

@@ -186,15 +186,10 @@ def invert(spec: RearrangeSpec) -> RearrangeSpec:
     Applying the inverse after the original restores the input bitwise
     whenever the inverse's own group inference is determined. A spec like
     'a b -> (a b)' with no bindings has an under-determined inverse and
-    fails at apply time, not here; :func:`bind_shape` against the forward
-    input pins every length and makes the inverse total.
+    fails at apply time, not here; pinning the lengths with
+    ``parse_rearrange(pattern, bindings)`` makes the inverse total.
     """
     return RearrangeSpec(spec.rhs, spec.lhs, spec.bindings)
-
-
-def bind_shape(spec: RearrangeSpec, shape) -> RearrangeSpec:
-    """Spec with every axis length pinned, inferred from a concrete input shape."""
-    return RearrangeSpec(spec.lhs, spec.rhs, _resolve_sizes(spec, tuple(shape)))
 
 
 def _resolve_sizes(spec: RearrangeSpec, shape) -> dict:

@@ -254,6 +254,15 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="step h"):
             grad_check(f, Tensor(np.ones(3), dtype="f64"), h=h)
 
+    def test_a_negative_seed_is_rejected_before_f_runs(self):
+        def f(t):
+            raise AssertionError("grad_check ran f with a negative seed")
+
+        # With max_coords above the size no seed is drawn, and the seed is still checked.
+        for max_coords in (2, 40):
+            with pytest.raises(ValueError, match="seed"):
+                grad_check(f, Tensor(np.ones(3), dtype="f64"), max_coords=max_coords, seed=-1)
+
     def test_requires_f64(self):
         x = Tensor(np.ones((2, 2)), dtype="f32")
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ from raftmlp.blocks import (
     vertical_mixing,
 )
 from raftmlp.ops import LayerNormParams, LinearParams, gelu, layer_norm, linear
-from raftmlp.rearrange import apply_rearrange, bind_shape, invert, parse_rearrange
+from raftmlp.rearrange import apply_rearrange, invert, parse_rearrange
 from raftmlp.tensor import PatchGrid, ShapeError, Tensor, add, mul, sum_all
 
 GELU_AT_1 = 0.84134474606854294859
@@ -217,10 +217,12 @@ def _random_mixing(rng, channels, dim, hidden, dtype):
 
 
 def _op_chain_mlp(x, p, to_mlp):
-    """The mixing MLP spelled as its chain of taped ops, one node per op."""
+    """The mixing MLP spelled as its chain of taped ops, one node per op.
+
+    ``to_mlp``'s bindings must pin every length its inverse cannot infer.
+    """
     y = layer_norm(x, p.ln)
     if to_mlp is not None:
-        to_mlp = bind_shape(to_mlp, y.shape)
         y = apply_rearrange(to_mlp, y)
     y = linear(gelu(linear(y, p.fc1)), p.fc2)
     if to_mlp is not None:

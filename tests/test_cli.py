@@ -283,6 +283,13 @@ class TestGradcheck:
         captured = capsys.readouterr()
         assert "error: argument" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("block", ["channel", "model"])
+    def test_a_negative_seed_is_a_usage_error(self, capsys, block):
+        # channel has fewer coordinates than --max-coords, model more: both refuse.
+        assert main(["gradcheck", "--block", block, "--seed", "-1", "--seeds", "1"]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert "argument --seed" in captured.err and captured.out == ""
+
 
 class TestFeatmaps:
     def test_writes_one_pgm_per_channel(self, capsys, weights_path, image_224, tmp_path):

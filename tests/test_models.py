@@ -182,10 +182,42 @@ class TestPresetConfigs:
             {"scales": (-1,)},
             {"scales": (0, True)},
             {"scales": (0.0,)},
+            {"channels": 64.0},
+            {"channels": True},
+            {"depth": 1.0},
+            {"stride": True},
+            {"stride": 2.0},
+            {"raft_size": 2.0},
+            {"e_ver": True},
+            {"e_hor": 2.0},
+            {"e_chan": np.int64(4)},
+            {"mixing": "plain", "token_hidden": 9.0},
+            {"mixing": "plain", "token_hidden": True},
         ]
         for kwargs in bad_block_settings:
             with pytest.raises(ValueError, match="LevelConfig"):
-                LevelConfig(channels=8, depth=1, stride=2, **kwargs)
+                LevelConfig(**{"channels": 8, "depth": 1, "stride": 2, **kwargs})
+        level = LevelConfig(channels=8, depth=1, stride=2)
+        bad_model_settings = [
+            {"num_classes": 0},
+            {"num_classes": 10.0},
+            {"num_classes": True},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"resolution": (224, 224, 3)},
+            {"resolution": (224,)},
+            {"resolution": 224},
+            {"resolution": (224.0, 224)},
+            {"resolution": (0, 224)},
+            {"resolution": (True, 224)},
+        ]
+        for kwargs in bad_model_settings:
+            with pytest.raises(ValueError, match="ModelConfig"):
+                ModelConfig(name="bad", levels=(level,), **kwargs)
+        with pytest.raises(ValueError, match="ModelConfig: resolution"):
+            preset_config("raftmlp-s", resolution=(224, 224, 3))
+        with pytest.raises(ValueError, match="ModelConfig: seed"):
+            build_preset("raftmlp-s", seed=-1)
 
 
 class TestBuild:

@@ -11,7 +11,6 @@ from raftmlp.rearrange import (
     RearrangeError,
     RearrangeSpec,
     apply_rearrange,
-    bind_shape,
     invert,
     parse_rearrange,
     rearrange,
@@ -219,9 +218,9 @@ class TestInvert:
         with pytest.raises(RearrangeError):
             apply_rearrange(invert(spec), y)
 
-    def test_bind_shape_makes_inverse_total(self):
+    def test_explicit_bindings_make_inverse_total(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        spec = bind_shape(parse_rearrange("a b -> (a b)"), x.shape)
+        spec = parse_rearrange("a b -> (a b)", {"a": 2, "b": 3})
         y = apply_rearrange(spec, x)
         back = apply_rearrange(invert(spec), y)
         assert np.array_equal(back.numpy(), x.numpy())
@@ -275,6 +274,7 @@ class TestRandomPatterns:
         assert y.shape == want.shape
         assert y.numpy().tobytes() == want.tobytes()
 
-        back = apply_rearrange(invert(bind_shape(spec, shape)), y)
+        pinned = parse_rearrange(f"{_side(lhs)} -> {_side(rhs)}", sizes)
+        back = apply_rearrange(invert(pinned), y)
         assert back.shape == x.shape
         assert back.numpy().tobytes() == x.numpy().tobytes()
