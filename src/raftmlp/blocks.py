@@ -104,11 +104,6 @@ class EmbedParams:
             )
 
 
-def _check_mlp_axis(shape: tuple, p: MixingParams) -> None:
-    if shape[-1] != p.fc1.d_in:
-        raise ShapeError(f"mixing_mlp: MLP axis {shape[-1]} != fc1 input {p.fc1.d_in}")
-
-
 def mixing_mlp(x: Tensor, p: MixingParams, to_mlp: RearrangeSpec | None = None) -> Tensor:
     """Residual MLP with the norm on the input layout and the MLP on ``to_mlp``'s.
 
@@ -126,7 +121,6 @@ def mixing_mlp(x: Tensor, p: MixingParams, to_mlp: RearrangeSpec | None = None) 
     if to_mlp is not None:
         sizes = _resolve_sizes(to_mlp, y.shape)
         y = _apply_np(to_mlp.lhs, to_mlp.rhs, sizes, y)
-    _check_mlp_axis(y.shape, p)
     _check_linear(y.shape, x.dtype, p.fc1)
     h = _linear_forward(y, p.fc1)
     a = _gelu_forward(h)

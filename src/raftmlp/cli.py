@@ -25,7 +25,7 @@ from .netpbm import ImageFormatError, read_ppm, write_pgm
 from .ops import softmax
 from .rearrange import rearrange
 from .selftest import BLOCK_NAMES, gradcheck_suite, run as run_selftest
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 EX_OK = 0
 EX_USAGE = 1
@@ -188,13 +188,19 @@ def _cmd_forward(args) -> int:
     return EX_OK
 
 
+def _print_results(results) -> int:
+    """One "ok" / "FAIL" line per CheckResult; returns the number that failed."""
+    failed = 0
+    for result in results:
+        print(f"{'ok' if result.ok else 'FAIL':<5}{result.name}: {result.detail}")
+        failed += not result.ok
+    return failed
+
+
 def _cmd_gradcheck(args) -> int:
     seeds = tuple(range(args.seed, args.seed + args.seeds))
-    failed = 0
-    for result, _ in gradcheck_suite(block=args.block, seeds=seeds, max_coords=args.max_coords):
-        status = "ok" if result.ok else "FAIL"
-        print(f"{status:<5}{result.name}: {result.detail}")
-        failed += 0 if result.ok else 1
+    pairs = gradcheck_suite(block=args.block, seeds=seeds, max_coords=args.max_coords)
+    failed = _print_results(result for result, _ in pairs)
     if failed:
         print(f"{failed} gradient check(s) failed", file=sys.stderr)
         return EX_CHECK
@@ -223,11 +229,7 @@ def _cmd_featmaps(args) -> int:
 
 def _cmd_selftest(args) -> int:
     results = run_selftest()
-    failed = 0
-    for result in results:
-        status = "ok" if result.ok else "FAIL"
-        print(f"{status:<5}{result.name}: {result.detail}")
-        failed += 0 if result.ok else 1
+    failed = _print_results(results)
     if failed:
         print(f"{failed} check(s) failed", file=sys.stderr)
         return EX_CHECK
@@ -257,9 +259,6 @@ def main(argv=None) -> int:
     except (ContainerError, ImageFormatError, OSError) as exc:
         print(f"raftmlp: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_IO
-    except ShapeError as exc:
-        print(f"raftmlp: {exc}", file=sys.stderr)
-        return EX_USAGE
     except ValueError as exc:
         print(f"raftmlp: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -192,11 +192,12 @@ def cost_report(model: Model, resolution=None) -> CostReport:
     MACs at a non-native resolution follow the resolution adapter's
     semantics: embeddings and channel mixing run on the runtime token
     grid, token mixing on the grid the parameters were built for. The
-    resolution must be divisible by the cumulative level strides.
+    resolution must be one ``ModelConfig`` accepts: two ints >= 1 that
+    the cumulative level strides divide.
     """
     config = model.config
-    resolution = tuple(resolution) if resolution is not None else config.resolution
     run_grids = config.grids(resolution)
+    resolution = config.resolution if resolution is None else tuple(resolution)
     native_grids = config.grids()
 
     macs = {}

@@ -84,6 +84,8 @@ class LevelConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"LevelConfig: {name} must be an int >= 1, got {value!r}")
+        if self.scales[-1] >= 1 and self.stride % 2:
+            raise ValueError(f"LevelConfig: stride {self.stride} must be even with a scale >= 1")
         if self.mixing not in ("raft", "plain"):
             raise ValueError(f"LevelConfig: unknown mixing {self.mixing!r}")
         if self.mixing == "raft":
@@ -114,12 +116,6 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
-        res = self.resolution
-        if not isinstance(res, (tuple, list)) or len(res) != 2 or not all(
-            _is_int(v) and v >= 1 for v in res
-        ):
-            raise ValueError(f"ModelConfig: resolution must be two ints >= 1, got {res!r}")
-        object.__setattr__(self, "resolution", tuple(res))
         if not self.levels:
             raise ValueError("ModelConfig: at least one level")
         if not _is_int(self.num_classes) or self.num_classes < 1:
@@ -129,14 +125,19 @@ class ModelConfig:
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"ModelConfig: seed must be an int >= 0, got {self.seed!r}")
         self.grids()
+        object.__setattr__(self, "resolution", tuple(self.resolution))
 
     @property
     def total_stride(self) -> int:
         return math.prod(lvl.stride for lvl in self.levels)
 
     def grids(self, resolution: Optional[tuple] = None) -> tuple:
-        """Per-level token grids at the given (default: configured) resolution."""
-        resolution = resolution or self.resolution
+        """Per-level token grids at a resolution (default: the configured one) of two ints >= 1."""
+        resolution = self.resolution if resolution is None else resolution
+        if not isinstance(resolution, (tuple, list)) or len(resolution) != 2 or not all(
+            _is_int(v) and v >= 1 for v in resolution
+        ):
+            raise ValueError(f"ModelConfig: resolution must be two ints >= 1, got {resolution!r}")
         h, w = resolution
         out = []
         for i, lvl in enumerate(self.levels, start=1):

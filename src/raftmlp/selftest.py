@@ -288,20 +288,17 @@ def _check_analytic_exact() -> str:
     return "formulas equal constructed-layer counts on the small sweep"
 
 
-def _check_ablation_params() -> str:
-    for preset, expected in ABLATION_PARAMS.items():
-        got = cost_report(build_preset(preset, init="zeros")).params_total
-        if got != expected:
-            raise CheckFailure(f"{preset}: {got} params, expected {expected}")
-    return "all four ablation counts reproduce exactly"
+def _check_params(table: dict, passed: str):
+    """A check that every preset in ``table`` has exactly its tabled parameter count."""
 
+    def check() -> str:
+        for preset, expected in table.items():
+            got = cost_report(build_preset(preset, init="zeros")).params_total
+            if got != expected:
+                raise CheckFailure(f"{preset}: {got} params, expected {expected}")
+        return passed
 
-def _check_preset_params() -> str:
-    for preset, expected in PRESET_PARAMS.items():
-        got = cost_report(build_preset(preset, init="zeros")).params_total
-        if got != expected:
-            raise CheckFailure(f"{preset}: {got} params, expected {expected}")
-    return "raft preset counts reproduce exactly"
+    return check
 
 
 def _check_adapter_identity() -> str:
@@ -343,8 +340,8 @@ _CHECKS = (
     ("raft-r1-equivalence", _check_raft_r1),
     ("embed-scale0", _check_embed_scale0),
     ("analytic-vs-exact", _check_analytic_exact),
-    ("ablation-params", _check_ablation_params),
-    ("preset-params", _check_preset_params),
+    ("ablation-params", _check_params(ABLATION_PARAMS, "all four ablation counts reproduce exactly")),
+    ("preset-params", _check_params(PRESET_PARAMS, "raft preset counts reproduce exactly")),
     ("adapter-native-identity", _check_adapter_identity),
     ("container-roundtrip", _check_container_roundtrip),
 )

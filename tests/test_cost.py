@@ -291,3 +291,14 @@ class TestResolutionDependentMacs:
         model = build_preset("raftmlp-s", init="zeros")
         with pytest.raises(ValueError):
             cost_report(model, resolution=(225, 224))
+
+    @pytest.mark.parametrize("resolution", [(224.0, 224), (224, 224, 3), (0, 224), (True, 224)])
+    def test_resolution_outside_config_rule_rejected(self, resolution):
+        model = build_preset("raftmlp-s", init="zeros")
+        with pytest.raises(ValueError, match="ModelConfig: resolution"):
+            cost_report(model, resolution=resolution)
+
+    def test_resolution_list_reports_int_tuple(self):
+        report = cost_report(build_preset("raftmlp-s", init="zeros"), resolution=[224, 224])
+        assert report.resolution == (224, 224)
+        assert all(type(v) is int for v in report.resolution)

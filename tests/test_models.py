@@ -193,6 +193,7 @@ class TestPresetConfigs:
             {"e_chan": np.int64(4)},
             {"mixing": "plain", "token_hidden": 9.0},
             {"mixing": "plain", "token_hidden": True},
+            {"stride": 3, "scales": (0, 1)},
         ]
         for kwargs in bad_block_settings:
             with pytest.raises(ValueError, match="LevelConfig"):

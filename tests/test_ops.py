@@ -210,6 +210,26 @@ class TestGelu:
         assert got.dtype == np.float32
         assert np.max(np.abs(got - want)) <= 1e-6
 
+    def test_f32_derivative_is_f64_derivative_rounded(self):
+        got = ops._gelu_derivative(self.F32_GRID)
+        want = ops._gelu_derivative(self.F32_GRID.astype(np.float64)).astype(np.float32)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "size", [ops._BLOCK - 1, ops._BLOCK, ops._BLOCK + 1, 3 * ops._BLOCK + 5]
+    )
+    def test_f32_forward_blocks_match_unblocked(self, size):
+        # The same ufunc sequence as one pass over the whole array: block
+        # edges must leave no mark on the bits.
+        x = np.random.default_rng(0).normal(scale=4.0, size=size).astype(np.float32)
+        want = np.multiply(x, ops._INV_SQRT2)
+        ops._erf_f32(want, np.empty_like(x), np.empty_like(x))
+        want += 1.0
+        want *= 0.5
+        want *= x
+        assert ops._gelu_forward(x).tobytes() == want.tobytes()
+
     def test_f32_erf_within_8_ulp(self):
         z = np.linspace(-4.0, 4.0, 2_000_001).astype(np.float32)
         got = ops._erf_f32(z.copy(), np.empty_like(z), np.empty_like(z))
