@@ -2,19 +2,20 @@
 
 Every op validates shapes, produces finite outputs, and registers a
 vector-Jacobian product on the active trace so the autograd module can
-differentiate through it. The forward and VJP arithmetic of ``linear``
-and ``layer_norm`` lives in plain-array helpers, ``_linear_forward`` /
-``_linear_vjp`` and ``_layer_norm_forward`` / ``_layer_norm_vjp``, which
-``blocks.mixing_mlp`` shares, so each formula is written once.
-``bicubic_resize`` resamples one axis at a time: one gather per tap, and
-the four weighted taps summed in a fixed order. ``_resize_grid`` runs the
-same arithmetic on a [c, h, w] tensor or on a [h * w, c] token tensor in
-its own layout, and skips an axis whose plan is the identity.
+differentiate through it. The forward and VJP arithmetic of ``linear`` and
+``layer_norm`` lives in plain-array helpers, ``_linear_forward`` / ``_linear_vjp``
+and ``_layer_norm_forward`` / ``_layer_norm_vjp``, which ``blocks.mixing_mlp``
+shares, so each formula is written once; layer norm's channel sums are per-row
+``np.einsum`` reductions. ``bicubic_resize`` resamples one axis at a time: one
+gather per tap, and the four weighted taps summed in a fixed order. ``_resize_grid``
+runs the same arithmetic on a [c, h, w] tensor or on a [h * w, c] token tensor
+in its own layout, and skips an axis whose plan is the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.special import erf
@@ -72,8 +73,9 @@ class LayerNormParams:
             )
         if self.gamma.dtype != self.beta.dtype:
             raise ShapeError("LayerNormParams: gamma/beta dtype mismatch")
-        if self.eps <= 0:
-            raise ValueError("LayerNormParams: eps must be positive")
+        eps = self.eps
+        if isinstance(eps, bool) or not isinstance(eps, Real) or not 0 < eps < np.inf:
+            raise ValueError(f"LayerNormParams: eps must be a finite real > 0, got {eps!r}")
 
     @property
     def dim(self) -> int:
@@ -121,11 +123,14 @@ def _check_layer_norm(shape: tuple, dtype: str, p: LayerNormParams) -> None:
 
 
 def _layer_norm_forward(arr: np.ndarray, p: LayerNormParams):
-    """Layer norm of a checked array, with the xhat and 1 / sqrt(var + eps) its VJP reads."""
+    """Layer norm of a checked array, with the xhat and 1 / sqrt(var + eps) its VJP reads.
+
+    Mean and variance are per-row einsum sums (no BLAS), so a row's bits ignore its batch.
+    """
     c = arr.shape[-1]
-    mean = seq_sum(arr, axis=-1, keepdims=True) / c
+    mean = np.einsum("...i->...", arr)[..., None] / c
     xhat = arr - mean
-    var = seq_sum(xhat * xhat, axis=-1, keepdims=True) / c
+    var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / c
     inv = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=arr.dtype))
     xhat *= inv
     y = xhat * p.gamma.numpy()
@@ -137,8 +142,8 @@ def _layer_norm_vjp(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, p: LayerNo
     """Cotangents of (x, gamma, beta) for layer norm, from dy = g."""
     c = p.dim
     gg = g * p.gamma.numpy()
-    m1 = seq_sum(gg, axis=-1, keepdims=True) / c
-    m2 = seq_sum(gg * xhat, axis=-1, keepdims=True) / c
+    m1 = np.einsum("...i->...", gg)[..., None] / c
+    m2 = np.einsum("...i,...i->...", gg, xhat)[..., None] / c
     dx = inv * (gg - m1 - xhat * m2)
     g2 = g.reshape(-1, c)
     return (

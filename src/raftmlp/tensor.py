@@ -6,11 +6,15 @@ never a value: every exported operation validates that its result is
 finite. ``blocks.mixing_mlp``, which runs none of them inside, validates
 its output once, inside an autograd trace or outside one.
 
-Reductions that this module owns (``sum_all`` and helpers used by the
-neural ops) accumulate strictly left to right so repeated runs are
-bit-identical. ``ops.linear`` delegates to the platform BLAS, whose inner
-accumulation order is implementation-defined but deterministic within a
-process; it is validated against a naive oracle by tolerance, not bits.
+The reductions this module owns, ``sum_all`` and ``seq_sum`` (which the
+neural ops use for their sums over rows), accumulate strictly left to right
+so repeated runs are bit-identical. Layer norm's sums over the channel axis
+are not ``seq_sum`` calls: ``ops`` takes them with per-row ``np.einsum``
+reductions, whose order within a row is numpy's but whose bits for a row do
+not depend on the other rows, the buffer's offset or BLAS. ``ops.linear``
+delegates to the platform BLAS, whose inner accumulation order is
+implementation-defined but deterministic within a process; it is validated
+against a naive oracle by tolerance, not bits.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from raftmlp.models import (
     LevelConfig,
     ModelConfig,
     PRESETS,
+    _classify,
     build_model,
     build_preset,
     forward,
@@ -413,6 +414,34 @@ class TestUntapedForward:
         image = Tensor(rng.normal(size=(3,) + config.resolution), dtype=dtype)
         untaped, taped = taped_and_untaped_logits(model, image)
         assert untaped.tobytes() == taped.tobytes()
+
+
+class TestErrorBudget:
+    """How far the f32 forward may sit from the f64 forward of the same weights.
+
+    The f64 twin holds the f32 model's weights upcast, so the gap is the f32
+    round-off alone. Bounds are relative to the largest f64 magnitude: 2e-6
+    at every level output, 1e-6 at the logits (README, "Error budget").
+    """
+
+    @pytest.mark.parametrize("name", ["raftmlp-s", "mixer-b16", "mixer-b16-cr2"])
+    def test_f32_within_budget_of_its_f64_twin(self, name):
+        model32 = build_preset(name, seed=1)
+        upcast = {n: Tensor(t.numpy(), dtype="f64") for n, t in named_parameters(model32).items()}
+        model64 = replace_parameters(build_preset(name, init="zeros", dtype="f64", seed=1), upcast)
+
+        def gap(got, want):
+            assert got.dtype == "f32" and want.dtype == "f64"
+            return np.max(np.abs(got.numpy() - want.numpy())) / np.max(np.abs(want.numpy()))
+
+        for seed in (0, 1):
+            image = np.random.default_rng(seed).normal(size=(3, 224, 224)).astype(np.float32)
+            levels32 = level_outputs(model32, Tensor(image, dtype="f32"))
+            levels64 = level_outputs(model64, Tensor(image, dtype="f64"))
+            for got, want in zip(levels32, levels64):
+                assert gap(got, want) <= 2e-6
+            # forward's logits, taken from the last level without a second run.
+            assert gap(_classify(model32, levels32[-1]), _classify(model64, levels64[-1])) <= 1e-6
 
 
 class TestParameterPlumbing:

@@ -173,6 +173,62 @@ class TestLayerNorm:
         with pytest.raises(ShapeError):
             layer_norm(Tensor(np.zeros((2, 3))), _ln_params(4))
 
+    # nan would fail far away as a non-finite output, inf would silently
+    # turn every output into beta, and True would pass as 1.0.
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, math.nan, math.inf, True, "1e-6"])
+    def test_params_reject_eps_that_is_not_a_finite_positive_real(self, eps):
+        with pytest.raises(ValueError, match="eps must be a finite real > 0"):
+            _ln_params(3, eps=eps)
+
+    # The statistics are per-row sums, so a row's output and input cotangent
+    # are the same bits alone, inside any batch, from a shifted buffer and in
+    # the [h', w', c] layout vertical_mixing passes. A batched BLAS sum
+    # (x @ ones) breaks this.
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_row_bits_do_not_depend_on_batch_offset_or_layout(self, dtype):
+        rng = np.random.default_rng(7)
+        c = 64
+        p = LayerNormParams(
+            gamma=Tensor(rng.normal(size=c), dtype=dtype),
+            beta=Tensor(rng.normal(size=c), dtype=dtype),
+        )
+        x = (rng.normal(size=(3136, c)) * 3 + 1).astype(p.gamma.numpy().dtype)
+        g = rng.normal(size=x.shape).astype(x.dtype)
+
+        def norm_and_cotangent(rows, g_rows):
+            y, xhat, inv = ops._layer_norm_forward(rows, p)
+            return y, ops._layer_norm_vjp(g_rows, xhat, inv, p)[0]
+
+        y, dx = norm_and_cotangent(x, g)
+        for start, n in [(0, 1), (5, 1), (3135, 1), (7, 3), (100, 17), (64, 128), (1000, 333)]:
+            rows = slice(start, start + n)
+            y_rows, dx_rows = norm_and_cotangent(x[rows].copy(), g[rows].copy())
+            assert y_rows.tobytes() == y[rows].tobytes()
+            assert dx_rows.tobytes() == dx[rows].tobytes()
+
+        def shifted(a):
+            """a's values in a buffer that starts one element into its allocation."""
+            out = np.empty(a.size + 1, a.dtype)[1:].reshape(a.shape)
+            out[...] = a
+            return out
+
+        y_shifted, dx_shifted = norm_and_cotangent(shifted(x), shifted(g))
+        assert y_shifted.tobytes() == y.tobytes() and dx_shifted.tobytes() == dx.tobytes()
+
+        y_grid, dx_grid = norm_and_cotangent(x.reshape(56, 56, c), g.reshape(56, 56, c))
+        assert y_grid.shape == (56, 56, c)
+        assert y_grid.tobytes() == y.tobytes() and dx_grid.tobytes() == dx.tobytes()
+
+    # The raftmlp-s level-1 tokens, the mixer-b16 tokens, and a row width
+    # that is no power of two; inputs normal * 3 + 1.
+    @pytest.mark.parametrize("shape", [(3136, 64), (196, 768), (1792, 112)])
+    def test_f32_within_1e6_of_f64(self, shape):
+        x = (np.random.default_rng(0).normal(size=shape) * 3 + 1).astype(np.float32)
+        got = ops._layer_norm_forward(x, _ln_params(shape[1], dtype="f32"))[0]
+        want = ops._layer_norm_forward(x.astype(np.float64), _ln_params(shape[1]))[0]
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - want)) <= 1e-6
+
 
 class TestGelu:
     @pytest.mark.parametrize("x, want", sorted(GELU_TABLE.items()))
