@@ -1,11 +1,11 @@
 """Recording infrastructure for reverse-mode differentiation.
 
-Primitive operations call :func:`record` after computing their forward
-value; when a trace is active on the current thread, the operation is
-appended together with a vector-Jacobian-product closure. The autograd
-frontend (``raftmlp.autograd``) owns trace creation and the backward
-walk. Keeping the registry here lets the tensor and op modules record
-themselves without importing the frontend.
+Each thread has one trace slot, empty by default. Primitive operations call
+:func:`record` after computing their forward value; when the slot holds a
+trace, the operation is appended with a vector-Jacobian-product closure.
+``raftmlp.autograd.trace`` swaps a fresh trace in and the outer one back
+out, so only the innermost open trace of a thread records. Keeping the slot
+here lets the tensor and op modules record without importing the frontend.
 """
 
 from __future__ import annotations
@@ -39,27 +39,14 @@ class Trace:
 _state = threading.local()
 
 
-def _stack() -> list:
-    stack = getattr(_state, "stack", None)
-    if stack is None:
-        stack = _state.stack = []
-    return stack
-
-
-def push(trace: Trace) -> None:
-    _stack().append(trace)
-
-
-def pop() -> Trace:
-    return _stack().pop()
-
-
-def active() -> Optional[Trace]:
-    stack = _stack()
-    return stack[-1] if stack else None
+def swap(trace: Optional[Trace]) -> Optional[Trace]:
+    """Make ``trace`` this thread's recording trace; return the one it replaces."""
+    previous = getattr(_state, "trace", None)
+    _state.trace = trace
+    return previous
 
 
 def record(op: str, inputs: tuple, output: Any, vjp: Callable) -> None:
-    trace = active()
+    trace = getattr(_state, "trace", None)
     if trace is not None:
         trace.nodes.append(Node(op, tuple(inputs), output, vjp))

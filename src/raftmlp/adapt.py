@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .models import Model, _check_image, _classify, _run_levels, token_mix
 from .ops import _resize_grid, bicubic_resize
-from .tensor import PatchGrid, ShapeError, Tensor
+from .tensor import PatchGrid, ShapeError, Tensor, _is_int
 
 # Activations grow with the pixel count: at 1024 x 1024 an f32 raftmlp-l
 # forward_adapted peaks about 0.6 GB above the model's own weights.
@@ -37,8 +37,8 @@ def pre_embed_resize(image: Tensor, total_stride: int) -> Tensor:
     """
     if image.rank != 3:
         raise ValueError(f"pre_embed_resize needs a [c, h, w] tensor, got {image.shape}")
-    if total_stride < 1:
-        raise ValueError("pre_embed_resize: total_stride must be >= 1")
+    if not _is_int(total_stride) or total_stride < 1:
+        raise ValueError(f"pre_embed_resize: total_stride must be an int >= 1, got {total_stride!r}")
     _, h, w = image.shape
 
     def snap(extent: int) -> int:

@@ -29,11 +29,11 @@ __all__ = ["Trace", "trace", "backward", "grad_check", "GradCheckReport"]
 def trace():
     """Record every primitive op executed in the body onto a fresh trace."""
     t = Trace()
-    _tape.push(t)
+    outer = _tape.swap(t)
     try:
         yield t
     finally:
-        _tape.pop()
+        _tape.swap(outer)
 
 
 def backward(tr: Trace, output: Tensor, wrt: Iterable[Tensor]) -> dict:

@@ -51,14 +51,9 @@ from .blocks import (
 )
 from .ops import LayerNormParams, LinearParams, global_avg_pool, layer_norm, linear
 from .rearrange import parse_rearrange, rearrange
-from .tensor import PatchGrid, ShapeError, Tensor
+from .tensor import PatchGrid, ShapeError, Tensor, _is_int
 
 _TOKEN_TRANSPOSE = parse_rearrange("t c -> c t")
-
-
-def _is_int(value) -> bool:
-    """An exact int: a bool is an int to Python but never a length or a count here."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,7 @@ def _linear_vjp(g: np.ndarray, arr: np.ndarray, p: LinearParams) -> tuple:
     return (
         (g2 @ p.weight.numpy().T).reshape(arr.shape),
         arr.reshape(-1, p.d_in).T @ g2,
-        seq_sum(g2, axis=0),
+        seq_sum(g2),
     )
 
 
@@ -148,8 +148,8 @@ def _layer_norm_vjp(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, p: LayerNo
     g2 = g.reshape(-1, c)
     return (
         np.ascontiguousarray(dx),
-        seq_sum(g2 * xhat.reshape(-1, c), axis=0),
-        seq_sum(g2, axis=0),
+        seq_sum(g2 * xhat.reshape(-1, c)),
+        seq_sum(g2),
     )
 
 
@@ -260,7 +260,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ShapeError(f"global_avg_pool needs a [tokens, c] tensor, got {x.shape}")
     tokens = x.shape[0]
     arr = x.numpy()
-    out = Tensor._wrap(seq_sum(arr, axis=0) / tokens)
+    out = Tensor._wrap(seq_sum(arr) / tokens)
 
     def vjp(g):
         return (np.broadcast_to(g / tokens, arr.shape).astype(arr.dtype, copy=True),)
@@ -275,11 +275,11 @@ def softmax(x: Tensor) -> Tensor:
         raise ShapeError(f"softmax needs a rank-1 tensor, got {x.shape}")
     arr = x.numpy()
     e = np.exp(arr - arr.max())
-    s = e / seq_sum(e, axis=0)
+    s = e / seq_sum(e)
     out = Tensor._wrap(s)
 
     def vjp(g):
-        return (s * (g - seq_sum(g * s, axis=0)),)
+        return (s * (g - seq_sum(g * s)),)
 
     _tape.record("softmax", (x,), out, vjp)
     return out

@@ -6,8 +6,8 @@ never a value: every exported operation validates that its result is
 finite. ``blocks.mixing_mlp``, which runs none of them inside, validates
 its output once, inside an autograd trace or outside one.
 
-The reductions this module owns, ``sum_all`` and ``seq_sum`` (which the
-neural ops use for their sums over rows), accumulate strictly left to right
+The reductions this module owns, ``sum_all`` and ``seq_sum`` (the neural
+ops' sums over rows, always over axis 0), accumulate strictly left to right
 so repeated runs are bit-identical. Layer norm's sums over the channel axis
 are not ``seq_sum`` calls: ``ops`` takes them with per-row ``np.einsum``
 reductions, whose order within a row is numpy's but whose bits for a row do
@@ -42,13 +42,15 @@ class Tensor:
     def __init__(self, values, dtype: str | None = None):
         if isinstance(values, Tensor):
             values = values.numpy()
+        values = np.asarray(values)
+        if values.dtype.kind not in "biuf":
+            raise ValueError(f"tensor values must be real numbers, got numpy dtype {values.dtype}")
         if dtype is not None:
             if dtype not in _DTYPES:
                 raise ValueError(f"unsupported dtype {dtype!r}; expected 'f32' or 'f64'")
             target = _DTYPES[dtype]
         else:
-            peek = np.asarray(values)
-            target = peek.dtype if peek.dtype in _DTYPE_NAMES else np.dtype(np.float64)
+            target = values.dtype if values.dtype in _DTYPE_NAMES else np.dtype(np.float64)
         # np.array copies, so the caller's buffer is never aliased or frozen.
         arr = np.array(values, dtype=target, order="C")
         _check_finite(arr)
@@ -117,36 +119,29 @@ def _check_finite(arr: np.ndarray) -> None:
         raise ValueError("tensor contains NaN or Inf")
 
 
+def _is_int(value) -> bool:
+    """An exact int: a bool is an int to Python but never a length or a count here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _same_dtype(a: Tensor, b: Tensor, op: str) -> None:
     if a.dtype != b.dtype:
         raise ShapeError(f"{op}: dtype mismatch ({a.dtype} vs {b.dtype})")
 
 
-# Below this many elements the copy that row-order summing makes costs more
-# than accumulate does.
-_ROW_SUM_MIN = 4096
-
-
-def seq_sum(arr: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
-    """Sum along one axis in strict left-to-right accumulation order."""
-    n = arr.shape[axis]
+def seq_sum(arr: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in strict left-to-right order, signed zeros included."""
+    n = arr.shape[0]
     if n == 0:
         raise ShapeError("seq_sum over an empty axis")
-    rest = arr.size // n
-    # One output (rest == 1) would be a 1-D reduce, which numpy sums pairwise.
-    if rest > 1 and arr.size >= _ROW_SUM_MIN:
-        # With the summed axis outermost and contiguous, reduce adds whole
-        # rows one after another, so each output is still summed in order.
-        # Starting from -0.0 keeps the first row's bits (an all -0.0 column
-        # sums to -0.0, as with accumulate).
-        moved = np.moveaxis(arr, axis, 0)
-        rows = np.ascontiguousarray(moved).reshape(n, rest)
-        out = np.add.reduce(rows, axis=0, initial=-0.0).reshape(moved.shape[1:])
-    else:
-        out = np.add.accumulate(arr, axis=axis).take(-1, axis=axis)
-    if keepdims:
-        out = np.expand_dims(out, axis)
-    return out
+    if arr.size == n:
+        # One output: a 1-D reduce would sum pairwise.
+        return np.add.accumulate(arr, axis=0)[-1]
+    # With the summed axis outermost and contiguous, reduce adds whole rows
+    # one after another. Starting from -0.0 keeps the first row's bits, so an
+    # all -0.0 column sums to -0.0 as with accumulate.
+    rows = np.ascontiguousarray(arr).reshape(n, -1)
+    return np.add.reduce(rows, axis=0, initial=-0.0).reshape(arr.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -159,8 +154,9 @@ class PatchGrid:
 
     def __post_init__(self):
         for name in ("h_prime", "w_prime", "channels"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"PatchGrid.{name} must be >= 1")
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"PatchGrid.{name} must be an int >= 1, got {value!r}")
 
     @property
     def tokens(self) -> int:
@@ -264,6 +260,6 @@ def sum_all(t: Tensor) -> Tensor:
     arr = t.numpy()
     if arr.size == 0:
         raise ShapeError("sum_all of an empty tensor")
-    out = Tensor._wrap(np.asarray(seq_sum(arr.reshape(-1), axis=0), dtype=arr.dtype))
+    out = Tensor._wrap(np.asarray(seq_sum(arr.reshape(-1)), dtype=arr.dtype))
     _tape.record("sum_all", (t,), out, lambda g: (np.broadcast_to(g, arr.shape).astype(arr.dtype),))
     return out

@@ -78,6 +78,12 @@ class TestPreEmbedResize:
         with pytest.raises(ValueError):
             pre_embed_resize(Tensor(np.zeros((1, 4, 4))), 0)
 
+    @pytest.mark.parametrize("stride", [2.5, 2.0, True])
+    def test_rejects_a_stride_that_is_not_an_exact_int(self, stride):
+        # Unchecked, 2.5 returns the 10 x 10 image unchanged and True acts as 1.
+        with pytest.raises(ValueError, match="must be an int"):
+            pre_embed_resize(Tensor(np.zeros((1, 10, 10))), stride)
+
 
 class TestSandwich:
     def test_collapses_at_equal_grids(self):

@@ -1,6 +1,7 @@
 """Reverse-mode differentiation and the finite-difference harness."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -99,6 +100,41 @@ class TestBackward:
             out = add(x, x)
         with pytest.raises(ValueError):
             backward(tr, out, wrt=[x])
+
+
+class TestTraceScope:
+    @pytest.mark.parametrize("body_raises", [False, True])
+    def test_inner_trace_records_alone_then_outer_resumes(self, body_raises):
+        x = Tensor(np.ones(2))
+        with trace() as outer:
+            try:
+                with trace() as inner:
+                    add(x, x)
+                    if body_raises:
+                        raise RuntimeError("body failed")
+            except RuntimeError:
+                assert body_raises
+            mul(x, x)
+        assert [n.op for n in inner.nodes] == ["add"]
+        assert [n.op for n in outer.nodes] == ["mul"]
+
+    def test_a_trace_records_nothing_from_another_thread(self):
+        x = Tensor(np.ones(2))
+        other = []
+
+        def work():
+            add(x, x)
+            with trace() as tr:
+                mul(x, x)
+            other.append(tr)
+
+        with trace() as tr:
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert tr.nodes == []
+        assert [n.op for n in other[0].nodes] == ["mul"]
 
 
 def assert_adjoint(apply, x_shapes, seed):
