@@ -6,7 +6,8 @@ differentiate through it. The forward and VJP arithmetic of ``linear`` and
 ``layer_norm`` lives in plain-array helpers, ``_linear_forward`` / ``_linear_vjp``
 and ``_layer_norm_forward`` / ``_layer_norm_vjp``, which ``blocks.mixing_mlp``
 shares, so each formula is written once; layer norm's channel sums are per-row
-``np.einsum`` reductions. ``bicubic_resize`` resamples one axis at a time: one
+``np.einsum`` reductions. f32 GELU is 0.5 x (1 + tanh(x P(x^2))), run in
+cache-sized blocks. ``bicubic_resize`` resamples one axis at a time: one
 gather per tap, and the four weighted taps summed in a fixed order. ``_resize_grid``
 runs the same arithmetic on a [c, h, w] tensor or on a [h * w, c] token tensor
 in its own layout, and skips an axis whose plan is the identity.
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.special import erf
 
 from . import _tape
-from .tensor import ShapeError, Tensor, seq_sum
+from .tensor import ShapeError, Tensor, _is_int, seq_sum
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -167,51 +168,43 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     return out
 
 
-# erf(z) = z * P(z^2) / Q(z^2) on [-4, 4], highest power first: the
-# coefficients of Eigen's generic_fast_erf_float. Beyond |z| = 4 erf rounds
-# to +-1 in f32, and P / Q would grow like z^5, so z is clamped first.
-_ERF_P = tuple(
+# GELU(x) = 0.5 x (1 + tanh(x P(x^2))), with x P(x^2) ~ artanh(erf(x / sqrt 2)):
+# P, highest power first, is a least-squares fit in f64 on (0, 6] weighted by
+# 1 - erf^2, rounded to f32; its constant is sqrt(2 / pi), as in the tanh GELU.
+# At the clamp x = 6 the tanh argument is 10.75, where f32 tanh is exactly +-1,
+# so GELU is exactly -0.0 below -6 and x itself above 6.
+_GELU_P = tuple(
     np.float32(c)
     for c in (
-        -2.72614225801306e-10,
-        2.77068142495902e-08,
-        -2.10102402082508e-06,
-        -5.69250639462346e-05,
-        -7.34990630326855e-04,
-        -2.95459980854025e-03,
-        -1.60960333262415e-02,
+        1.4836005e-09,
+        -1.2235978e-07,
+        3.8390103e-06,
+        -5.4616517e-05,
+        -3.4231740e-05,
+        0.036334544,
+        0.79788464,
     )
 )
-_ERF_Q = tuple(
-    np.float32(c)
-    for c in (
-        -1.45660718464996e-05,
-        -2.13374055278905e-04,
-        -1.68282697438203e-03,
-        -7.37332916720468e-03,
-        -1.42647390514189e-02,
-    )
-)
+_GELU_CLAMP = 6.0
 # Elements per f32 pass: 128 KiB per buffer keeps the four live ones in L2.
 _BLOCK = 32768
 
 
-def _erf_f32(e: np.ndarray, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """erf in place on the f32 array e; t and u are scratch of e's shape."""
-    np.clip(e, -4.0, 4.0, out=e)
-    np.multiply(e, e, out=t)
-    np.multiply(t, _ERF_P[0], out=u)
-    u += _ERF_P[1]
-    for c in _ERF_P[2:]:
+def _gelu_f32(x: np.ndarray, y: np.ndarray, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """GELU of the f32 array x into y; t and u are scratch of x's shape."""
+    np.clip(x, -_GELU_CLAMP, _GELU_CLAMP, out=y)
+    np.multiply(y, y, out=t)
+    np.multiply(t, _GELU_P[0], out=u)
+    u += _GELU_P[1]
+    for c in _GELU_P[2:]:
         u *= t
         u += c
-    u *= e
-    np.multiply(t, _ERF_Q[0], out=e)
-    e += _ERF_Q[1]
-    for c in _ERF_Q[2:]:
-        e *= t
-        e += c
-    return np.divide(u, e, out=e)
+    u *= y
+    np.tanh(u, out=y)
+    y += 1.0
+    y *= 0.5
+    y *= x
+    return y
 
 
 def _gelu_forward(a: np.ndarray) -> np.ndarray:
@@ -224,11 +217,7 @@ def _gelu_forward(a: np.ndarray) -> np.ndarray:
     for start in range(0, flat.size, _BLOCK):
         n = min(_BLOCK, flat.size - start)
         x, y = flat[start : start + n], out[start : start + n]
-        np.multiply(x, _INV_SQRT2, out=y)
-        _erf_f32(y, scratch[0, :n], scratch[1, :n])
-        y += 1.0
-        y *= 0.5
-        y *= x
+        _gelu_f32(x, y, scratch[0, :n], scratch[1, :n])
     return out.reshape(a.shape)
 
 
@@ -243,10 +232,12 @@ def _gelu_derivative(a: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """GELU, x * Phi(x), with Phi the standard normal CDF.
 
-    f64 evaluates Phi with scipy's erf, accurate to f64 round-off. f32 uses
-    a rational erf within 8 ulp of the correctly rounded value, which puts
-    f32 GELU within 2e-6 of the f64 result. The derivative is always
-    evaluated in f64; in f32 it is that value rounded to f32, within 6.0e-8.
+    f64 evaluates Phi with scipy's erf, accurate to f64 round-off. f32
+    evaluates 0.5 x (1 + tanh(x P(x^2))) with x clamped to +-6, whose erf
+    is within 8 ulp of the correctly rounded value, which puts f32 GELU
+    within 2e-6 of the f64 result; below -6 it is exactly -0.0 and above 6
+    exactly x. The derivative is always evaluated in f64; in f32 it is that
+    value rounded to f32, within 6.0e-8.
     """
     arr = x.numpy()
     out = Tensor._wrap(_gelu_forward(arr))
@@ -390,10 +381,11 @@ def bicubic_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     its four taps, scales each by its weight and sums them in the fixed
     order ((t0 + t1) + t2) + t3, h axis first. With out == in the plan is
     the identity, taps (0, 1, 0, 0) exactly, and that axis is skipped, so
-    a same-size resize returns the input bitwise, -0.0 included.
+    a same-size resize returns the input bitwise, -0.0 included. A target
+    that is not an int >= 1 (a float, a bool) is a ShapeError.
     """
     if x.rank != 3:
         raise ShapeError(f"bicubic_resize needs a [c, h, w] tensor, got {x.shape}")
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(f"bicubic_resize: target {out_h}x{out_w} must be positive")
+    if not (_is_int(out_h) and _is_int(out_w)) or out_h < 1 or out_w < 1:
+        raise ShapeError(f"bicubic_resize: target {out_h!r}x{out_w!r} must be ints >= 1")
     return _resize_grid(x, x.shape, 1, out_h, out_w)

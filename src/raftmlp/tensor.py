@@ -215,10 +215,13 @@ def unfold(t: Tensor, kernel: int, stride: int, padding: int) -> Tensor:
     (channel, row, col) order and patches step by ``stride`` after
     zero-padding ``padding`` on every side. Out-of-image samples are
     exactly zero. The patches are one strided window view of the padded
-    image, copied out once in that order.
+    image, copied out once in that order. Sizes that are not ints (a float,
+    a bool) are a ShapeError.
     """
     if t.rank != 3:
         raise ShapeError(f"unfold needs a [c, h, w] tensor, got shape {t.shape}")
+    if not all(_is_int(v) for v in (kernel, stride, padding)):
+        raise ShapeError(f"unfold: sizes must be ints, got {kernel!r}, {stride!r}, {padding!r}")
     if kernel <= 0 or stride <= 0 or padding < 0:
         raise ShapeError("unfold: kernel and stride must be positive, padding non-negative")
     c, h, w = t.shape

@@ -250,8 +250,8 @@ class TestGelu:
         ys = gelu(Tensor(xs)).numpy()
         assert np.max(np.abs(ys - xs)) < 1e-12
 
-    # f32 evaluates erf with a rational approximation; these bound its error
-    # against the f64 path on the same f32 inputs.
+    # f32 evaluates erf(x / sqrt 2) as tanh(x P(x^2)), x clamped to +-6; these
+    # bound its error against the f64 path on the same f32 inputs.
     F32_GRID = np.linspace(-30.0, 30.0, 600_001).astype(np.float32)
 
     def test_f32_within_2e6_of_f64(self):
@@ -259,6 +259,22 @@ class TestGelu:
         want = gelu(Tensor(self.F32_GRID, dtype="f64")).numpy()
         assert got.dtype == np.float32
         assert np.max(np.abs(got - want)) <= 2e-6
+
+    def test_f32_within_2e6_of_f64_over_wide_range(self):
+        x = np.linspace(-1e4, 1e4, 2_000_001).astype(np.float32)
+        got = ops._gelu_forward(x)
+        want = ops._gelu_forward(x.astype(np.float64))
+        assert np.max(np.abs(got - want)) <= 2e-6
+
+    def test_f32_negative_tail_is_negative_zero(self):
+        x = np.array([-3.4e38, -1e30, -1e4, -100.0, -67.0, -8.0], dtype=np.float32)
+        got = gelu(Tensor(x, dtype="f32")).numpy()
+        assert (got == 0.0).all() and np.signbit(got).all()
+
+    def test_f32_positive_tail_is_identity(self):
+        x = np.array([8.0, 100.0, 1e4, 1e30, 3.4e38], dtype=np.float32)
+        got = gelu(Tensor(x, dtype="f32")).numpy()
+        assert got.tobytes() == x.tobytes()
 
     def test_f32_derivative_within_1e6_of_f64(self):
         got = ops._gelu_derivative(self.F32_GRID)
@@ -279,17 +295,22 @@ class TestGelu:
         # The same ufunc sequence as one pass over the whole array: block
         # edges must leave no mark on the bits.
         x = np.random.default_rng(0).normal(scale=4.0, size=size).astype(np.float32)
-        want = np.multiply(x, ops._INV_SQRT2)
-        ops._erf_f32(want, np.empty_like(x), np.empty_like(x))
-        want += 1.0
-        want *= 0.5
-        want *= x
+        want = ops._gelu_f32(x, np.empty_like(x), np.empty_like(x), np.empty_like(x))
         assert ops._gelu_forward(x).tobytes() == want.tobytes()
 
     def test_f32_erf_within_8_ulp(self):
+        # erf(z) = tanh(s P(s^2)) at s = sqrt(2) z, the kernel's Horner order.
         z = np.linspace(-4.0, 4.0, 2_000_001).astype(np.float32)
-        got = ops._erf_f32(z.copy(), np.empty_like(z), np.empty_like(z))
+        s = (np.sqrt(2.0) * z.astype(np.float64)).astype(np.float32)
+        t = s * s
+        u = t * ops._GELU_P[0]
+        u += ops._GELU_P[1]
+        for c in ops._GELU_P[2:]:
+            u *= t
+            u += c
+        got = np.tanh(u * s)
         want = erf(z.astype(np.float64)).astype(np.float32)
+        assert got.dtype == np.float32
 
         def ordinal(a):
             # f32 bit patterns as integers that count ulps across zero.
@@ -299,7 +320,8 @@ class TestGelu:
         assert np.max(np.abs(ordinal(got) - ordinal(want))) <= 8
 
     def test_f32_monotone_on_nonnegative(self):
-        xs = np.linspace(0.0, 6.0, 600_001).astype(np.float32)
+        # [0, 12] spans the clamp at 6.
+        xs = np.linspace(0.0, 12.0, 1_200_001).astype(np.float32)
         ys = gelu(Tensor(xs, dtype="f32")).numpy()
         assert (np.diff(ys) >= 0.0).all()
 
@@ -511,3 +533,8 @@ class TestBicubic:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
             bicubic_resize(Tensor(np.zeros((4, 4))), 2, 2)
+
+    @pytest.mark.parametrize("out_h, out_w", [(4.0, 4), (4, 4.0), (True, 4), (4, np.int64(4))])
+    def test_rejects_non_int_target(self, out_h, out_w):
+        with pytest.raises(ShapeError, match="must be ints"):
+            bicubic_resize(Tensor(np.zeros((1, 4, 4))), out_h, out_w)

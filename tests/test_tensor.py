@@ -229,6 +229,13 @@ class TestUnfold:
         with pytest.raises(ShapeError):
             unfold(x, kernel=4, stride=2, padding=0)
 
+    @pytest.mark.parametrize(
+        "kernel, stride, padding", [(2.0, 2, 0), (2, 2.0, 0), (2, 2, 0.0), (True, True, False)]
+    )
+    def test_rejects_non_int_sizes(self, kernel, stride, padding):
+        with pytest.raises(ShapeError, match="must be ints"):
+            unfold(Tensor(np.zeros((1, 4, 4))), kernel, stride, padding)
+
     def test_rejects_non_positive_kernel(self):
         with pytest.raises(ShapeError):
             unfold(Tensor(np.zeros((1, 4, 4))), kernel=0, stride=1, padding=0)
