@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _tape
 from ._tape import Trace
-from .tensor import Tensor
+from .tensor import Tensor, _is_int
 
 __all__ = ["Trace", "trace", "backward", "grad_check", "GradCheckReport"]
 
@@ -64,7 +64,7 @@ def backward(tr: Trace, output: Tensor, wrt: Iterable[Tensor]) -> dict:
         g = grads.get(id(t))
         if g is None:
             g = np.zeros_like(t.numpy())
-        out[t] = Tensor._wrap(np.ascontiguousarray(g))
+        out[t] = Tensor._wrap(g)
     return out
 
 
@@ -90,22 +90,22 @@ def grad_check(
 
     ``f`` must map a tensor to a scalar tensor and be pure. All
     coordinates are checked unless ``max_coords`` caps them, in which
-    case a seeded random subset is used; a cap below 1 would check
-    nothing and is a ValueError, as are a step ``h`` that is not finite
-    and positive and a negative ``seed``. f64 only. The relative error
-    denominator is max(|analytic|, |numeric|, floor) with floor =
-    max(1e-8, 1e-3 * max|analytic|) over the whole gradient, so finite-
-    difference noise on a near-zero coordinate is judged at the gradient's
-    scale while a full-size coordinate keeps its own.
+    case a seeded random subset is used; a cap that is not an int >= 1
+    is a ValueError, as are a step ``h`` that is a bool or not finite and
+    positive and a ``seed`` that is not an int >= 0. f64 only. The
+    relative error denominator is max(|analytic|, |numeric|, floor) with
+    floor = max(1e-8, 1e-3 * max|analytic|) over the whole gradient, so
+    finite-difference noise on a near-zero coordinate is judged at the
+    gradient's scale while a full-size coordinate keeps its own.
     """
     if x.dtype != "f64":
         raise ValueError("grad_check requires an f64 input tensor")
-    if max_coords is not None and max_coords < 1:
-        raise ValueError(f"grad_check: max_coords must be >= 1, got {max_coords}")
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"grad_check: step h must be finite and positive, got {h}")
-    if seed < 0:
-        raise ValueError(f"grad_check: seed must be >= 0, got {seed}")
+    if max_coords is not None and not (_is_int(max_coords) and max_coords >= 1):
+        raise ValueError(f"grad_check: max_coords must be an int >= 1, got {max_coords!r}")
+    if isinstance(h, bool) or not (np.isfinite(h) and h > 0):
+        raise ValueError(f"grad_check: step h must be finite and positive, got {h!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"grad_check: seed must be an int >= 0, got {seed!r}")
     with trace() as tr:
         y = f(x)
     if y.size != 1:

@@ -13,8 +13,8 @@ The closed-form MAC expressions are kept in the historical form
 e * (h'w')**4 and e * r**4 * (h'**4 + w'**4). They are internally
 consistent with each other (their ratio at h' = w' is exactly
 2 * r**4 / h'**4) but are NOT comparable with the exact per-channel MAC
-counter, which is the ground truth here; see the break-even report for
-what the closed forms are good for.
+counter, which is the ground truth here. ``params_advantage`` and
+``macs_advantage`` give the break-even raft sizes.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .blocks import RaftTokenMixingParams
 from .models import Model, named_parameters
+from .tensor import _is_int
 
 
 def token_mixing_params_analytic(h_prime: int, w_prime: int, e: int) -> int:
@@ -82,45 +83,8 @@ def macs_advantage(h_prime: int, w_prime: int, r: int) -> bool:
 
 def _positive(**kwargs) -> None:
     for name, value in kwargs.items():
-        if value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value}")
-
-
-@dataclass(frozen=True)
-class BreakevenRow:
-    r: int
-    params_token: int
-    params_raft: int
-    params_ratio: float
-    params_advantage: bool
-    macs_token: int
-    macs_raft: int
-    macs_ratio: float
-    macs_advantage: bool
-
-
-def breakeven_report(h_prime: int, w_prime: int, e: int, r_values) -> tuple:
-    """Analytic cost of both mixing flavors across raft sizes."""
-    rows = []
-    pt = token_mixing_params_analytic(h_prime, w_prime, e)
-    mt = token_mixing_macs_analytic(h_prime, w_prime, e)
-    for r in r_values:
-        pr = raft_mixing_params_analytic(h_prime, w_prime, e, r)
-        mr = raft_mixing_macs_analytic(h_prime, w_prime, e, r)
-        rows.append(
-            BreakevenRow(
-                r=r,
-                params_token=pt,
-                params_raft=pr,
-                params_ratio=pr / pt,
-                params_advantage=params_advantage(h_prime, w_prime, r),
-                macs_token=mt,
-                macs_raft=mr,
-                macs_ratio=mr / mt,
-                macs_advantage=macs_advantage(h_prime, w_prime, r),
-            )
-        )
-    return tuple(rows)
+        if not _is_int(value) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

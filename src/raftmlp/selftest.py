@@ -43,7 +43,7 @@ from .models import (
 )
 from .ops import LinearParams, bicubic_resize
 from .rearrange import apply_rearrange, invert, parse_rearrange, rearrange
-from .tensor import PatchGrid, Tensor, mul, sum_all
+from .tensor import PatchGrid, Tensor, vdot
 
 LISTING_PATTERNS = (
     ("b (h w) (r o) -> b (o w) (r h)", "b (o w) (r h) -> b (h w) (r o)"),
@@ -99,9 +99,9 @@ BLOCK_NAMES = ("mixing", "vertical", "horizontal", "raft", "channel", "embed", "
 
 
 def _probe_functional(block_fn, out_shape, rng):
-    """Scalar functional sum(block(x) * probe) with a fixed random probe."""
+    """Scalar functional <block(x), probe> with a fixed random probe."""
     probe = Tensor(rng.normal(size=out_shape), dtype="f64")
-    return lambda x: sum_all(mul(block_fn(x), probe))
+    return lambda x: vdot(block_fn(x), probe)
 
 
 def gradcheck_functional(name: str, seed: int):

@@ -6,7 +6,7 @@ never a value: every exported operation validates that its result is
 finite. ``blocks.mixing_mlp``, which runs none of them inside, validates
 its output once, inside an autograd trace or outside one.
 
-The reductions this module owns, ``sum_all`` and ``seq_sum`` (the neural
+The reductions this module owns, ``vdot`` and ``seq_sum`` (the neural
 ops' sums over rows, always over axis 0), accumulate strictly left to right
 so repeated runs are bit-identical. Layer norm's sums over the channel axis
 are not ``seq_sum`` calls: ``ops`` takes them with per-row ``np.einsum``
@@ -46,9 +46,7 @@ class Tensor:
         if values.dtype.kind not in "biuf":
             raise ValueError(f"tensor values must be real numbers, got numpy dtype {values.dtype}")
         if dtype is not None:
-            if dtype not in _DTYPES:
-                raise ValueError(f"unsupported dtype {dtype!r}; expected 'f32' or 'f64'")
-            target = _DTYPES[dtype]
+            target = _np_dtype(dtype)
         else:
             target = values.dtype if values.dtype in _DTYPE_NAMES else np.dtype(np.float64)
         # np.array copies, so the caller's buffer is never aliased or frozen.
@@ -59,8 +57,9 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Trusted no-copy path for freshly computed op results.
-        arr = np.ascontiguousarray(arr)
+        # Trusted no-copy path for freshly computed op results; a rank-0
+        # result stays rank 0, which np.ascontiguousarray would make [1].
+        arr = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         _check_finite(arr)
         arr.flags.writeable = False
         t = object.__new__(cls)
@@ -69,11 +68,11 @@ class Tensor:
 
     @classmethod
     def zeros(cls, shape, dtype: str = "f32") -> "Tensor":
-        return cls._wrap(np.zeros(shape, dtype=_DTYPES[dtype]))
+        return cls._wrap(np.zeros(shape, dtype=_np_dtype(dtype)))
 
     @classmethod
     def ones(cls, shape, dtype: str = "f32") -> "Tensor":
-        return cls._wrap(np.ones(shape, dtype=_DTYPES[dtype]))
+        return cls._wrap(np.ones(shape, dtype=_np_dtype(dtype)))
 
     @property
     def shape(self) -> tuple:
@@ -106,10 +105,16 @@ class Tensor:
     def astype(self, dtype: str) -> "Tensor":
         if dtype == self.dtype:
             return self
-        return Tensor._wrap(self._array.astype(_DTYPES[dtype]))
+        return Tensor._wrap(self._array.astype(_np_dtype(dtype)))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, dtype={self.dtype})"
+
+
+def _np_dtype(dtype: str) -> np.dtype:
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
+        raise ValueError(f"unsupported dtype {dtype!r}; expected 'f32' or 'f64'")
+    return _DTYPES[dtype]
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -173,13 +178,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of two same-shape tensors."""
+def vdot(a: Tensor, b: Tensor) -> Tensor:
+    """Left-to-right sum of a * b over every element, as a rank-0 tensor."""
     if a.shape != b.shape:
-        raise ShapeError(f"mul: shape mismatch ({a.shape} vs {b.shape})")
-    _same_dtype(a, b, "mul")
-    out = Tensor._wrap(a.numpy() * b.numpy())
-    _tape.record("mul", (a, b), out, lambda g: (g * b.numpy(), g * a.numpy()))
+        raise ShapeError(f"vdot: shape mismatch ({a.shape} vs {b.shape})")
+    _same_dtype(a, b, "vdot")
+    out = Tensor._wrap(np.asarray(seq_sum((a.numpy() * b.numpy()).reshape(-1))))
+    _tape.record("vdot", (a, b), out, lambda g: (g * b.numpy(), g * a.numpy()))
     return out
 
 
@@ -257,12 +262,3 @@ def unfold(t: Tensor, kernel: int, stride: int, padding: int) -> Tensor:
     _tape.record("unfold", (t,), out, vjp)
     return out
 
-
-def sum_all(t: Tensor) -> Tensor:
-    """Left-to-right sum of every element, as a rank-0 tensor."""
-    arr = t.numpy()
-    if arr.size == 0:
-        raise ShapeError("sum_all of an empty tensor")
-    out = Tensor._wrap(np.asarray(seq_sum(arr.reshape(-1)), dtype=arr.dtype))
-    _tape.record("sum_all", (t,), out, lambda g: (np.broadcast_to(g, arr.shape).astype(arr.dtype),))
-    return out

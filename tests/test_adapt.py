@@ -21,7 +21,7 @@ from raftmlp.models import (
 from raftmlp.autograd import grad_check
 from raftmlp.ops import bicubic_resize, global_avg_pool, linear
 from raftmlp.rearrange import rearrange
-from raftmlp.tensor import PatchGrid, ShapeError, Tensor, mul, sum_all
+from raftmlp.tensor import PatchGrid, ShapeError, Tensor, vdot
 
 PRESET_NAMES = (
     "raftmlp-s",
@@ -138,7 +138,7 @@ class TestSandwich:
         probe = Tensor(rng.normal(size=(run.tokens, run.channels)), dtype="f64")
         x = Tensor(rng.normal(size=(run.tokens, run.channels)), dtype="f64")
         report = grad_check(
-            lambda t: sum_all(mul(adapted_token_mixing(t, token, run, train), probe)),
+            lambda t: vdot(adapted_token_mixing(t, token, run, train), probe),
             x,
             max_coords=80,
         )

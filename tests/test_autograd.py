@@ -12,7 +12,7 @@ from raftmlp.autograd import backward, grad_check, trace
 from raftmlp.ops import LayerNormParams, LinearParams, bicubic_resize, gelu, layer_norm, linear, softmax
 from raftmlp.rearrange import apply_rearrange, parse_rearrange, rearrange
 from raftmlp.selftest import gradcheck_functional, gradcheck_suite
-from raftmlp.tensor import Tensor, add, concat, mul, sum_all, unfold
+from raftmlp.tensor import Tensor, add, concat, unfold, vdot
 from test_rearrange import _rearrange_cases, _side
 
 # d/dx gelu at 1, from the same 50-digit oracle as the forward table.
@@ -25,6 +25,10 @@ def _unit_ln(c):
     )
 
 
+def _total(t):
+    return vdot(t, Tensor.ones(t.shape, dtype=t.dtype))
+
+
 def _grad_of(f, x):
     with trace() as tr:
         out = f(x)
@@ -34,7 +38,7 @@ def _grad_of(f, x):
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-        g = _grad_of(sum_all, x)
+        g = _grad_of(_total, x)
         assert np.array_equal(g.numpy(), np.ones((3, 4)))
 
     def test_linear_column_sums(self):
@@ -42,21 +46,21 @@ class TestBackward:
         w = rng.normal(size=(4, 6))
         p = LinearParams(weight=Tensor(w), bias=Tensor(rng.normal(size=6)))
         x = Tensor(rng.normal(size=(2, 4)))
-        g = _grad_of(lambda t: sum_all(linear(t, p)), x)
+        g = _grad_of(lambda t: _total(linear(t, p)), x)
         want = np.tile(w.sum(axis=1), (2, 1))
         assert np.max(np.abs(g.numpy() - want)) < 1e-12
 
     def test_rearrange_adjoint_is_inverse_permutation(self):
         x = Tensor(np.random.default_rng(2).normal(size=(2, 6, 8)))
         g = _grad_of(
-            lambda t: sum_all(rearrange(t, "b (h w) (r o) -> b (o w) (r h)", h=2, w=3, r=2)),
+            lambda t: _total(rearrange(t, "b (h w) (r o) -> b (o w) (r h)", h=2, w=3, r=2)),
             x,
         )
         assert np.array_equal(g.numpy(), np.ones((2, 6, 8)))
 
     def test_gelu_derivative_value(self):
         x = Tensor([1.0], dtype="f64")
-        g = _grad_of(lambda t: sum_all(gelu(t)), x)
+        g = _grad_of(lambda t: _total(gelu(t)), x)
         assert abs(g.numpy()[0] - GELU_PRIME_AT_1) < 1e-15
 
     def test_grad_wrt_weights_through_closure(self):
@@ -66,7 +70,7 @@ class TestBackward:
         b = Tensor(rng.normal(size=2))
 
         with trace() as tr:
-            out = sum_all(linear(Tensor(x), LinearParams(weight=w, bias=b)))
+            out = _total(linear(Tensor(x), LinearParams(weight=w, bias=b)))
         grads = backward(tr, out, wrt=[w, b])
         assert np.max(np.abs(grads[w].numpy() - x.T @ np.ones((5, 2)))) < 1e-12
         assert np.max(np.abs(grads[b].numpy() - 5.0)) < 1e-12
@@ -76,7 +80,7 @@ class TestBackward:
         a = Tensor(rng.normal(size=(2, 2)))
         b = Tensor(rng.normal(size=(2, 2)))
         with trace() as tr:
-            out = sum_all(mul(a, b))
+            out = vdot(a, b)
         grads = backward(tr, out, wrt=[a])
         assert set(map(id, grads)) == {id(a)}
         assert np.array_equal(grads[a].numpy(), b.numpy())
@@ -85,13 +89,13 @@ class TestBackward:
         a = Tensor(np.ones((2, 2)))
         unused = Tensor(np.ones((3,)))
         with trace() as tr:
-            out = sum_all(a)
+            out = _total(a)
         grads = backward(tr, out, wrt=[unused])
         assert np.array_equal(grads[unused].numpy(), np.zeros(3))
 
     def test_fan_out_accumulates(self):
         x = Tensor(np.full((2, 2), 3.0))
-        g = _grad_of(lambda t: sum_all(mul(t, t)), x)
+        g = _grad_of(lambda t: vdot(t, t), x)
         assert np.array_equal(g.numpy(), np.full((2, 2), 6.0))
 
     def test_non_scalar_output_rejected(self):
@@ -114,9 +118,9 @@ class TestTraceScope:
                         raise RuntimeError("body failed")
             except RuntimeError:
                 assert body_raises
-            mul(x, x)
+            vdot(x, x)
         assert [n.op for n in inner.nodes] == ["add"]
-        assert [n.op for n in outer.nodes] == ["mul"]
+        assert [n.op for n in outer.nodes] == ["vdot"]
 
     def test_a_trace_records_nothing_from_another_thread(self):
         x = Tensor(np.ones(2))
@@ -125,7 +129,7 @@ class TestTraceScope:
         def work():
             add(x, x)
             with trace() as tr:
-                mul(x, x)
+                vdot(x, x)
             other.append(tr)
 
         with trace() as tr:
@@ -134,7 +138,7 @@ class TestTraceScope:
             worker.join(timeout=30)
         assert not worker.is_alive()
         assert tr.nodes == []
-        assert [n.op for n in other[0].nodes] == ["mul"]
+        assert [n.op for n in other[0].nodes] == ["vdot"]
 
 
 def assert_adjoint(apply, x_shapes, seed):
@@ -149,7 +153,7 @@ def assert_adjoint(apply, x_shapes, seed):
     with trace() as tr:
         ax = apply(*xs)
         g = Tensor(rng.normal(size=ax.shape), dtype="f64")
-        out = sum_all(mul(ax, g))
+        out = vdot(ax, g)
     atg = backward(tr, out, wrt=xs)
     terms_a = (ax.numpy() * g.numpy()).ravel()
     terms_at = np.concatenate([(x.numpy() * atg[x].numpy()).ravel() for x in xs])
@@ -229,12 +233,12 @@ class TestGradCheck:
             weight=Tensor(rng.normal(size=(4, 3)), dtype="f64"),
             bias=Tensor(rng.normal(size=3), dtype="f64"),
         )
-        report = grad_check(lambda t: sum_all(linear(t, p)), Tensor(rng.normal(size=(5, 4)), dtype="f64"))
+        report = grad_check(lambda t: _total(linear(t, p)), Tensor(rng.normal(size=(5, 4)), dtype="f64"))
         assert report.max_rel_err < 1e-8
 
     def test_constant_function_zero_error(self):
         k = Tensor(np.ones((2, 2)), dtype="f64")
-        report = grad_check(lambda t: sum_all(mul(t, Tensor.zeros((2, 2), dtype="f64"))), k)
+        report = grad_check(lambda t: vdot(t, Tensor.zeros((2, 2), dtype="f64")), k)
         assert report.max_abs_err == 0.0
         assert report.max_rel_err == 0.0
 
@@ -243,7 +247,7 @@ class TestGradCheck:
         p = _unit_ln(7)
         probe = Tensor(rng.normal(size=(4, 7)), dtype="f64")
         report = grad_check(
-            lambda t: sum_all(mul(layer_norm(t, p), probe)),
+            lambda t: vdot(layer_norm(t, p), probe),
             Tensor(rng.normal(size=(4, 7)), dtype="f64"),
         )
         assert report.max_rel_err < 1e-6
@@ -252,7 +256,7 @@ class TestGradCheck:
         rng = np.random.default_rng(7)
         probe = Tensor(rng.normal(size=9), dtype="f64")
         report = grad_check(
-            lambda t: sum_all(mul(softmax(t), probe)), Tensor(rng.normal(size=9), dtype="f64")
+            lambda t: vdot(softmax(t), probe), Tensor(rng.normal(size=9), dtype="f64")
         )
         assert report.max_rel_err < 1e-6
 
@@ -265,7 +269,7 @@ class TestGradCheck:
                 [unfold(t, kernel=2, stride=2, padding=0), unfold(t, kernel=2, stride=2, padding=0)],
                 axis=0,
             )
-            return sum_all(mul(cols, probe))
+            return vdot(cols, probe)
 
         report = grad_check(f, Tensor(rng.normal(size=(3, 4, 4)), dtype="f64"))
         assert report.max_rel_err < 1e-8
@@ -273,14 +277,28 @@ class TestGradCheck:
     def test_subset_of_coordinates(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(size=(10, 10)), dtype="f64")
-        report = grad_check(lambda t: sum_all(mul(t, t)), x, max_coords=7, seed=3)
+        report = grad_check(lambda t: vdot(t, t), x, max_coords=7, seed=3)
         assert report.coords_checked == 7
 
     @pytest.mark.parametrize("max_coords", [0, -1])
     def test_a_cap_below_one_is_rejected(self, max_coords):
         x = Tensor(np.ones(3), dtype="f64")
         with pytest.raises(ValueError, match="max_coords"):
-            grad_check(lambda t: sum_all(mul(t, t)), x, max_coords=max_coords)
+            grad_check(lambda t: vdot(t, t), x, max_coords=max_coords)
+
+    @pytest.mark.parametrize(
+        "bad", [{"max_coords": 2.5}, {"max_coords": 2.0}, {"max_coords": True},
+                {"seed": 1.5}, {"seed": True}, {"h": True}],
+        ids=["max_coords=2.5", "max_coords=2.0", "max_coords=True", "seed=1.5", "seed=True", "h=True"],
+    )
+    def test_a_float_or_bool_where_an_int_or_a_step_belongs_is_rejected(self, bad):
+        def f(t):
+            raise AssertionError("grad_check ran f with a bad argument")
+
+        (name,) = bad
+        kwargs = {"max_coords": 2, **bad}
+        with pytest.raises(ValueError, match="step h" if name == "h" else name):
+            grad_check(f, Tensor(np.ones(3), dtype="f64"), **kwargs)
 
     @pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf])
     def test_a_step_that_is_not_finite_and_positive_is_rejected(self, h):
@@ -302,11 +320,11 @@ class TestGradCheck:
     def test_requires_f64(self):
         x = Tensor(np.ones((2, 2)), dtype="f32")
         with pytest.raises(ValueError):
-            grad_check(lambda t: sum_all(t), x)
+            grad_check(_total, x)
 
     def test_report_fields(self):
         x = Tensor(np.ones(3), dtype="f64")
-        report = grad_check(lambda t: sum_all(mul(t, t)), x)
+        report = grad_check(lambda t: vdot(t, t), x)
         assert report.step == 1e-5
         assert report.coords_checked == 3
         assert report.max_abs_err >= 0.0

@@ -28,7 +28,7 @@ from raftmlp.blocks import (
 )
 from raftmlp.ops import LayerNormParams, LinearParams, gelu, layer_norm, linear
 from raftmlp.rearrange import apply_rearrange, invert, parse_rearrange
-from raftmlp.tensor import PatchGrid, ShapeError, Tensor, add, mul, sum_all
+from raftmlp.tensor import PatchGrid, ShapeError, Tensor, add, vdot
 
 GELU_AT_1 = 0.84134474606854294859
 GELU_AT_MINUS_1 = -0.15865525393145705141
@@ -261,11 +261,11 @@ class TestMixingMlpNode:
         results = []
         for mlp in (mixing_mlp, _op_chain_mlp):
             with trace() as tr:
-                out = sum_all(mul(mlp(x, p, spec), probe))
+                out = vdot(mlp(x, p, spec), probe)
             grads = backward(tr, out, wrt=leaves)
             results.append((out, [grads[t].numpy() for t in leaves], tr))
         (out, got, tr), (ref_out, want, _) = results
-        assert [node.op for node in tr.nodes] == ["mixing_mlp", "mul", "sum_all"]
+        assert [node.op for node in tr.nodes] == ["mixing_mlp", "vdot"]
         assert out.numpy().tobytes() == ref_out.numpy().tobytes()
         for name, g, w in zip(("x", "gamma", "beta", "w1", "b1", "w2", "b2"), got, want):
             assert np.abs(g).max() > 0, name
@@ -279,7 +279,7 @@ class TestMixingMlpNode:
         def f(value):
             sub = dataclasses.replace(getattr(p, part), **{field: value})
             q = dataclasses.replace(p, **{part: sub})
-            return sum_all(mul(mixing_mlp(x, q, spec), probe))
+            return vdot(mixing_mlp(x, q, spec), probe)
 
         report = grad_check(f, getattr(getattr(p, part), field))
         assert report.max_rel_err < 1e-6

@@ -3,7 +3,6 @@
 import pytest
 
 from raftmlp.cost import (
-    breakeven_report,
     cost_report,
     macs_advantage,
     params_advantage,
@@ -100,6 +99,25 @@ class TestAnalyticFormulas:
         with pytest.raises(ValueError):
             raft_mixing_params_analytic(4, 4, 2, 0)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "a", None])
+    @pytest.mark.parametrize(
+        "fn, sizes",
+        [
+            (token_mixing_params_analytic, (4, 4, 2)),
+            (raft_mixing_params_analytic, (4, 4, 2, 2)),
+            (token_mixing_macs_analytic, (4, 4, 2)),
+            (raft_mixing_macs_analytic, (4, 4, 2, 2)),
+            (params_advantage, (14, 14, 2)),
+            (macs_advantage, (14, 14, 2)),
+        ],
+    )
+    def test_rejects_sizes_that_are_not_ints(self, fn, sizes, bad):
+        for i in range(len(sizes)):
+            args = list(sizes)
+            args[i] = bad
+            with pytest.raises(ValueError, match="positive integer"):
+                fn(*args)
+
 
 class TestAnalyticAgainstExact:
     """The closed forms must reproduce per-tensor tallies of built models."""
@@ -147,27 +165,19 @@ class TestBreakeven:
         assert params_advantage(15, 20, 12) is False
         assert params_advantage(15, 20, 11) is True
 
-    def test_report_rows(self):
-        rows = breakeven_report(4, 4, 2, r_values=(1, 2, 4))
-        assert [row.r for row in rows] == [1, 2, 4]
-        assert all(row.params_token == 1072 for row in rows)
-        assert rows[1].params_raft == 560
-        assert rows[1].macs_raft == 16384
-        assert rows[1].macs_token == 131072
-        assert rows[1].params_ratio == pytest.approx(0.52, abs=0.005)
-
     def test_macs_ratio_identity_on_squares(self):
         # At h' = w' the closed forms satisfy ratio == 2 r**4 / h'**4.
         for h in (4, 7, 14):
             for r in (1, 2, 3):
-                (row,) = breakeven_report(h, h, 2, r_values=(r,))
-                assert row.macs_ratio == pytest.approx(2 * r**4 / h**4, rel=1e-12)
+                ratio = raft_mixing_macs_analytic(h, h, 2, r) / token_mixing_macs_analytic(h, h, 2)
+                assert ratio == pytest.approx(2 * r**4 / h**4, rel=1e-12)
 
     def test_advantage_agrees_with_ratio(self):
         for h, w, r in [(4, 4, 1), (14, 14, 9), (14, 14, 10), (7, 7, 5), (8, 2, 3)]:
-            (row,) = breakeven_report(h, w, 2, r_values=(r,))
-            assert row.params_advantage is (row.params_ratio < 1.0)
-            assert row.macs_advantage is (row.macs_ratio < 1.0)
+            params_ratio = raft_mixing_params_analytic(h, w, 2, r) / token_mixing_params_analytic(h, w, 2)
+            macs_ratio = raft_mixing_macs_analytic(h, w, 2, r) / token_mixing_macs_analytic(h, w, 2)
+            assert params_advantage(h, w, r) is (params_ratio < 1.0)
+            assert macs_advantage(h, w, r) is (macs_ratio < 1.0)
 
 
 class TestExactCounters:

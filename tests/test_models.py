@@ -242,6 +242,11 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_model(tiny32_config(), init="xavier")
 
+    @pytest.mark.parametrize("init", ["zeros", "trunc_normal"])
+    def test_unknown_dtype_rejected(self, init):
+        with pytest.raises(ValueError, match="unsupported dtype"):
+            build_model(tiny32_config(), init=init, dtype="f16")
+
     def test_embed_chains_previous_level_channels(self):
         model = build_model(tiny32_config(), init="zeros")
         # level 1 consumes the 3-channel image at stride 4 with scales {0,1}

@@ -69,9 +69,7 @@ LOWER_LAYER_HOMES = {
         "save_tensors",
     ],
     "cost": [
-        "BreakevenRow",
         "CostRow",
-        "breakeven_report",
         "macs_advantage",
         "params_advantage",
         "raft_mixing_macs_analytic",
@@ -98,7 +96,7 @@ LOWER_LAYER_HOMES = {
         "parse_rearrange",
         "rearrange",
     ],
-    "tensor": ["PatchGrid", "add", "concat", "mul", "seq_sum", "sum_all", "unfold"],
+    "tensor": ["PatchGrid", "add", "concat", "seq_sum", "unfold"],
 }
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(raftmlp.__path__))
@@ -135,7 +133,7 @@ def test_a_submodule_imports_as_a_module(name):
 
 def test_the_lower_layer_table_holds_every_dropped_name():
     names = [name for names in LOWER_LAYER_HOMES.values() for name in names]
-    assert len(names) == len(set(names)) == 57
+    assert len(names) == len(set(names)) == 53
     assert set(names).isdisjoint(MODEL_LEVEL_API)
 
 

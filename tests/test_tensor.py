@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from raftmlp.autograd import backward, trace
 from raftmlp.tensor import (
     PatchGrid,
     ShapeError,
     Tensor,
     add,
     concat,
-    mul,
     seq_sum,
-    sum_all,
     unfold,
+    vdot,
 )
 
 
@@ -23,6 +23,21 @@ class TestTensorType:
         t = Tensor(src)
         src[0, 0] = 5.0
         assert t.numpy()[0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda dtype: Tensor(np.ones(2), dtype=dtype),
+            lambda dtype: Tensor.zeros((2,), dtype=dtype),
+            lambda dtype: Tensor.ones((2,), dtype=dtype),
+            lambda dtype: Tensor(np.ones(2)).astype(dtype),
+        ],
+        ids=["init", "zeros", "ones", "astype"],
+    )
+    @pytest.mark.parametrize("dtype", ["f16", "float32", ["f32"]])
+    def test_an_unknown_dtype_is_a_value_error(self, make, dtype):
+        with pytest.raises(ValueError, match="unsupported dtype"):
+            make(dtype)
 
     def test_is_immutable(self):
         t = Tensor([[1.0, 2.0]])
@@ -102,14 +117,6 @@ class TestElementwise:
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
             add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
-
-    def test_mul_is_elementwise(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-        assert mul(a, b).tolist() == [[5.0, 12.0], [21.0, 32.0]]
-
-    def test_sum_all_scalar(self):
-        assert sum_all(Tensor([[1.0, 2.0], [3.0, 4.0]])).item() == 10.0
 
 
 class TestConcat:
@@ -239,3 +246,46 @@ class TestUnfold:
     def test_rejects_non_positive_kernel(self):
         with pytest.raises(ShapeError):
             unfold(Tensor(np.zeros((1, 4, 4))), kernel=0, stride=1, padding=0)
+
+
+class TestVdot:
+    def test_value_is_a_rank_0_tensor(self):
+        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        b = Tensor([[5.0, 6.0], [7.0, 8.0]])
+        out = vdot(a, b)
+        assert (out.shape, out.dtype, out.item()) == ((), "f64", 70.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_seq_sum_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_bits_are_a_left_to_right_running_sum(self, case, seed):
+        shape, dtype, _ = case
+        rng = np.random.default_rng(seed)
+        a = Tensor((rng.normal(size=shape) * 1e3).astype(dtype))
+        b = Tensor(rng.normal(size=shape).astype(dtype))
+        products = (a.numpy() * b.numpy()).reshape(-1)
+        acc = products[0]
+        for v in products[1:]:
+            acc = acc + v
+        got = vdot(a, b).numpy()
+        assert got.dtype == products.dtype
+        assert got.tobytes() == np.asarray(acc, dtype=products.dtype).tobytes()
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_gradients_are_the_other_operand_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.normal(size=(4, 3, 2)), dtype=dtype)
+        b = Tensor(rng.normal(size=(4, 3, 2)), dtype=dtype)
+        with trace() as tr:
+            out = vdot(a, b)
+        assert [node.op for node in tr.nodes] == ["vdot"]
+        grads = backward(tr, out, wrt=[a, b])
+        assert grads[a].numpy().tobytes() == b.numpy().tobytes()
+        assert grads[b].numpy().tobytes() == a.numpy().tobytes()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="vdot: shape mismatch"):
+            vdot(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+
+    def test_dtype_mismatch(self):
+        with pytest.raises(ShapeError, match="vdot: dtype mismatch"):
+            vdot(Tensor(np.zeros(3), dtype="f32"), Tensor(np.zeros(3), dtype="f64"))
