@@ -12,6 +12,7 @@ analytic gradient against central differences coordinate by coordinate.
 
 from __future__ import annotations
 
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -91,10 +92,11 @@ def grad_check(
     ``f`` must map a tensor to a scalar tensor and be pure. All
     coordinates are checked unless ``max_coords`` caps them, in which
     case a seeded random subset is used; a cap that is not an int >= 1
-    is a ValueError, as are a step ``h`` that is a bool or not finite and
-    positive and a ``seed`` that is not an int >= 0. f64 only. The
-    relative error denominator is max(|analytic|, |numeric|, floor) with
-    floor = max(1e-8, 1e-3 * max|analytic|) over the whole gradient, so
+    is a ValueError, as are a step ``h`` that is not a finite, positive
+    real number (a bool, a string, None or a complex is none) and a
+    ``seed`` that is not an int >= 0. f64 only. The relative error
+    denominator is max(|analytic|, |numeric|, floor) with floor =
+    max(1e-8, 1e-3 * max|analytic|) over the whole gradient, so
     finite-difference noise on a near-zero coordinate is judged at the
     gradient's scale while a full-size coordinate keeps its own.
     """
@@ -102,8 +104,8 @@ def grad_check(
         raise ValueError("grad_check requires an f64 input tensor")
     if max_coords is not None and not (_is_int(max_coords) and max_coords >= 1):
         raise ValueError(f"grad_check: max_coords must be an int >= 1, got {max_coords!r}")
-    if isinstance(h, bool) or not (np.isfinite(h) and h > 0):
-        raise ValueError(f"grad_check: step h must be finite and positive, got {h!r}")
+    if not isinstance(h, numbers.Real) or isinstance(h, bool) or not (np.isfinite(h) and h > 0):
+        raise ValueError(f"grad_check: step h must be a finite, positive real number, got {h!r}")
     if not (_is_int(seed) and seed >= 0):
         raise ValueError(f"grad_check: seed must be an int >= 0, got {seed!r}")
     with trace() as tr:

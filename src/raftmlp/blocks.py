@@ -16,10 +16,10 @@ flavor in this package:
   axis, so the vertical MLP acts on vectors of length r*h' and the
   horizontal one on length r*w'.
 
-Multi-scale patch embedding unfolds the image at kernel sizes 2^m * p
+Multi-scale patch embedding is one ``unfold`` at kernel sizes 2^m * p
 (stride p, zero padding chosen so every scale yields the same token
-grid), concatenates the per-scale channels in ascending m, and applies
-one shared linear projection.
+grid), the scales' patches side by side in ascending m in each token's
+row, and one shared linear projection.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .ops import (
     _linear_vjp,
     linear,
 )
-from .rearrange import RearrangeSpec, _apply_np, _resolve_sizes, apply_rearrange, parse_rearrange
-from .tensor import PatchGrid, ShapeError, Tensor, concat, unfold
+from .rearrange import RearrangeSpec, _apply_np, _resolve_sizes, parse_rearrange
+from .tensor import PatchGrid, ShapeError, Tensor, unfold
 
 
 @dataclass(frozen=True)
@@ -201,32 +201,11 @@ def _patch_dims(c_in: int, stride: int, scales) -> int:
 def multi_scale_patch_embed(x: Tensor, p: EmbedParams) -> Tensor:
     """Embed a [c_in, h, w] image into [(h/p)*(w/p), c_out] tokens.
 
-    Per scale m the image is unfolded with kernel 2^m * p, stride p and
-    padding (2^m * p - p) / 2, so every scale produces the same token
-    grid; the per-scale channels are concatenated ascending in m and sent
-    through the shared projection.
+    One ``unfold`` puts each token's patches at kernel 2^m * p, stride p,
+    zero-padded by (2^m * p - p) / 2, side by side in its row, ascending in
+    m; every scale shares the token grid. The shared projection maps the row.
     """
-    if x.rank != 3:
-        raise ShapeError(f"multi_scale_patch_embed needs [c, h, w], got {x.shape}")
-    c_in, h, w = x.shape
-    stride = p.stride
-    if h % stride or w % stride:
-        raise ShapeError(
-            f"multi_scale_patch_embed: image {h}x{w} not divisible by stride {stride}"
-        )
-    d_in = _patch_dims(c_in, stride, p.scales)
-    if p.projection.d_in != d_in:
-        raise ShapeError(
-            f"multi_scale_patch_embed: projection expects {p.projection.d_in} "
-            f"channels, unfolding yields {d_in}"
-        )
-    pieces = []
-    for m in p.scales:
-        kernel = 2**m * stride
-        pieces.append(unfold(x, kernel=kernel, stride=stride, padding=(kernel - stride) // 2))
-    stacked = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
-    tokens = apply_rearrange(parse_rearrange("d n -> n d"), stacked)
-    return linear(tokens, p.projection)
+    return linear(unfold(x, [2**m * p.stride for m in p.scales], p.stride), p.projection)
 
 
 # ---------------------------------------------------------------------------

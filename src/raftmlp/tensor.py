@@ -68,11 +68,11 @@ class Tensor:
 
     @classmethod
     def zeros(cls, shape, dtype: str = "f32") -> "Tensor":
-        return cls._wrap(np.zeros(shape, dtype=_np_dtype(dtype)))
+        return cls._wrap(np.zeros(_checked_shape(shape), dtype=_np_dtype(dtype)))
 
     @classmethod
     def ones(cls, shape, dtype: str = "f32") -> "Tensor":
-        return cls._wrap(np.ones(shape, dtype=_np_dtype(dtype)))
+        return cls._wrap(np.ones(_checked_shape(shape), dtype=_np_dtype(dtype)))
 
     @property
     def shape(self) -> tuple:
@@ -127,6 +127,14 @@ def _check_finite(arr: np.ndarray) -> None:
 def _is_int(value) -> bool:
     """An exact int: a bool is an int to Python but never a length or a count here."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked_shape(shape) -> tuple:
+    """A shape (or one length) whose every entry is an int >= 1, as a tuple."""
+    dims = tuple(shape) if isinstance(shape, (tuple, list)) else (shape,)
+    if not all(_is_int(d) and d >= 1 for d in dims):
+        raise ValueError(f"tensor shape entries must be ints >= 1, got {shape!r}")
+    return dims
 
 
 def _same_dtype(a: Tensor, b: Tensor, op: str) -> None:
@@ -188,77 +196,66 @@ def vdot(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def concat(ts, axis: int) -> Tensor:
-    """Concatenate tensors along one axis; other axes must agree."""
-    ts = list(ts)
-    if not ts:
-        raise ShapeError("concat of an empty list")
-    rank = ts[0].rank
-    if axis < 0 or axis >= rank:
-        raise ShapeError(f"concat: axis {axis} out of range for rank {rank}")
-    for t in ts[1:]:
-        _same_dtype(ts[0], t, "concat")
-        if t.rank != rank or any(
-            t.shape[i] != ts[0].shape[i] for i in range(rank) if i != axis
-        ):
-            raise ShapeError(f"concat: incompatible shapes {ts[0].shape} and {t.shape}")
-    out = Tensor._wrap(np.concatenate([t.numpy() for t in ts], axis=axis))
+def unfold(t: Tensor, kernels, stride: int) -> Tensor:
+    """Token-major patches of a [c, h, w] tensor at one or more kernel sizes.
 
-    offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
-
-    def vjp(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, offsets[1:-1], axis=axis))
-
-    _tape.record("concat", tuple(ts), out, vjp)
-    return out
-
-
-def unfold(t: Tensor, kernel: int, stride: int, padding: int) -> Tensor:
-    """Extract flattened kernel x kernel patches from a [c, h, w] tensor.
-
-    Returns [c * kernel**2, n_tokens] where column j is patch j in
-    (channel, row, col) order and patches step by ``stride`` after
-    zero-padding ``padding`` on every side. Out-of-image samples are
-    exactly zero. The patches are one strided window view of the padded
-    image, copied out once in that order. Sizes that are not ints (a float,
-    a bool) are a ShapeError.
+    Returns [(h / stride) * (w / stride), c * sum(k**2)]: row j is token j in
+    row-major order. Each kernel k, in the order given, fills one column
+    block with the k x k patch centred on the token's stride x stride cell,
+    in (channel, row, col) order, after zero-padding (k - stride) / 2 on
+    every side; out-of-image samples are exactly zero. Each block is one
+    strided window view of its padded image, copied out once. ``kernels``
+    is a non-empty list or tuple of sizes >= ``stride`` with k - stride
+    even, and h and w are multiples of ``stride``; anything else, sizes
+    that are not ints (a float, a bool) included, is a ShapeError.
     """
     if t.rank != 3:
         raise ShapeError(f"unfold needs a [c, h, w] tensor, got shape {t.shape}")
-    if not all(_is_int(v) for v in (kernel, stride, padding)):
-        raise ShapeError(f"unfold: sizes must be ints, got {kernel!r}, {stride!r}, {padding!r}")
-    if kernel <= 0 or stride <= 0 or padding < 0:
-        raise ShapeError("unfold: kernel and stride must be positive, padding non-negative")
-    c, h, w = t.shape
-    span_h = h + 2 * padding - kernel
-    span_w = w + 2 * padding - kernel
-    if span_h < 0 or span_w < 0 or span_h % stride or span_w % stride:
+    if not isinstance(kernels, (list, tuple)) or not kernels:
+        raise ShapeError(f"unfold: kernels must be a non-empty list or tuple, got {kernels!r}")
+    kernels = tuple(kernels)
+    if not all(_is_int(v) for v in (*kernels, stride)):
+        raise ShapeError(f"unfold: sizes must be ints, got kernels {kernels!r}, stride {stride!r}")
+    if stride < 1 or any(k < stride or (k - stride) % 2 for k in kernels):
         raise ShapeError(
-            f"unfold: geometry h={h} w={w} kernel={kernel} stride={stride} "
-            f"padding={padding} does not tile evenly"
+            f"unfold: stride {stride} must be >= 1 and kernels {kernels} each >= it, of its parity"
         )
-    n_h = span_h // stride + 1
-    n_w = span_w // stride + 1
+    c, h, w = t.shape
+    if h % stride or w % stride:
+        raise ShapeError(f"unfold: image {h}x{w} is not divisible by stride {stride}")
+    n_h, n_w = h // stride, w // stride
+    starts = np.cumsum([0] + [c * k * k for k in kernels])
+    column_blocks = list(zip(kernels, starts, starts[1:]))
 
     arr = t.numpy()
-    padded = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=arr.dtype)
-    padded[:, padding : padding + h, padding : padding + w] = arr
+    out = np.empty((n_h, n_w, starts[-1]), dtype=arr.dtype)
+    for k, a, b in column_blocks:
+        q = (k - stride) // 2
+        padded = np.zeros((c, h + 2 * q, w + 2 * q), dtype=arr.dtype)
+        padded[:, q : q + h, q : q + w] = arr
+        # windows[ci, i, j, ki, kj] = padded[ci, i * stride + ki, j * stride + kj]
+        windows = sliding_window_view(padded, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+        # Splitting the contiguous last axis keeps this reshape a view of out.
+        out[:, :, a:b].reshape(n_h, n_w, c, k, k)[...] = windows.transpose(1, 2, 0, 3, 4)
+    out = Tensor._wrap(out.reshape(n_h * n_w, starts[-1]))
 
-    # windows[ci, i, j, ki, kj] = padded[ci, i * stride + ki, j * stride + kj]
-    windows = sliding_window_view(padded, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
-    out = Tensor._wrap(windows.transpose(0, 3, 4, 1, 2).reshape(c * kernel * kernel, n_h * n_w))
-
-    # The loop fixes the order in which overlapping patches accumulate.
+    # The loop fixes the order in which overlapping patches accumulate;
+    # kernels sum last to first, as separate per-kernel nodes would in backward.
     def vjp(g):
-        gp = g.reshape(c, kernel, kernel, n_h, n_w)
-        acc = np.zeros_like(padded)
-        for ki in range(kernel):
-            for kj in range(kernel):
-                acc[:, ki : ki + n_h * stride : stride, kj : kj + n_w * stride : stride] += gp[
-                    :, ki, kj
-                ]
-        return (np.ascontiguousarray(acc[:, padding : padding + h, padding : padding + w]),)
+        g = g.reshape(n_h, n_w, -1)
+        total = None
+        for k, a, b in reversed(column_blocks):
+            q = (k - stride) // 2
+            gp = g[:, :, a:b].reshape(n_h, n_w, c, k, k).transpose(2, 3, 4, 0, 1)
+            acc = np.zeros((c, h + 2 * q, w + 2 * q), dtype=arr.dtype)
+            for ki in range(k):
+                for kj in range(k):
+                    acc[:, ki : ki + n_h * stride : stride, kj : kj + n_w * stride : stride] += gp[
+                        :, ki, kj
+                    ]
+            part = acc[:, q : q + h, q : q + w]
+            total = part if total is None else total + part
+        return (np.ascontiguousarray(total),)
 
     _tape.record("unfold", (t,), out, vjp)
     return out
-

@@ -5,14 +5,14 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from raftmlp import ops
 from raftmlp.autograd import backward, grad_check, trace
 from raftmlp.ops import LayerNormParams, LinearParams, bicubic_resize, gelu, layer_norm, linear, softmax
 from raftmlp.rearrange import apply_rearrange, parse_rearrange, rearrange
 from raftmlp.selftest import gradcheck_functional, gradcheck_suite
-from raftmlp.tensor import Tensor, add, concat, unfold, vdot
+from raftmlp.tensor import Tensor, add, unfold, vdot
 from test_rearrange import _rearrange_cases, _side
 
 # d/dx gelu at 1, from the same 50-digit oracle as the forward table.
@@ -167,18 +167,17 @@ class TestAdjoints:
     @settings(max_examples=60, deadline=None, database=None)
     @given(
         c=st.integers(1, 3),
-        kernel=st.integers(1, 4),
         stride=st.integers(1, 3),
-        padding=st.integers(0, 2),
+        halves=st.lists(st.integers(0, 2), min_size=1, max_size=2),
         n_h=st.integers(1, 3),
         n_w=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_unfold(self, c, kernel, stride, padding, n_h, n_w, seed):
-        h = (n_h - 1) * stride + kernel - 2 * padding
-        w = (n_w - 1) * stride + kernel - 2 * padding
-        assume(h >= 1 and w >= 1)
-        assert_adjoint(lambda t: unfold(t, kernel, stride, padding), [(c, h, w)], seed)
+    def test_unfold(self, c, stride, halves, n_h, n_w, seed):
+        # One or two kernels stride + 2j, each padding j on every side.
+        kernels = [stride + 2 * j for j in halves]
+        shape = (c, n_h * stride, n_w * stride)
+        assert_adjoint(lambda t: unfold(t, kernels, stride), [shape], seed)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -215,16 +214,6 @@ class TestAdjoints:
         shape = tuple(math.prod(sizes[a] for a in g) for g in lhs)
         assert_adjoint(lambda t: apply_rearrange(spec, t), [shape], seed)
 
-    @pytest.mark.parametrize("axis", [0, 1, 2])
-    def test_concat(self, axis):
-        # Pieces of 1, 3 and 2 along the concat axis, 2 x 3 x 4 elsewhere.
-        shapes = []
-        for length in (1, 3, 2):
-            shape = [2, 3, 4]
-            shape[axis] = length
-            shapes.append(tuple(shape))
-        assert_adjoint(lambda *ts: concat(ts, axis), shapes, seed=axis)
-
 
 class TestGradCheck:
     def test_linear_layer_tight(self):
@@ -260,19 +249,34 @@ class TestGradCheck:
         )
         assert report.max_rel_err < 1e-6
 
-    def test_unfold_and_concat_adjoints(self):
+    def test_two_kernel_unfold_adjoint(self):
         rng = np.random.default_rng(8)
-        probe = Tensor(rng.normal(size=(24, 4)), dtype="f64")
-
-        def f(t):
-            cols = concat(
-                [unfold(t, kernel=2, stride=2, padding=0), unfold(t, kernel=2, stride=2, padding=0)],
-                axis=0,
-            )
-            return vdot(cols, probe)
-
-        report = grad_check(f, Tensor(rng.normal(size=(3, 4, 4)), dtype="f64"))
+        # 2 x 2 tokens, 3 * (4 + 16) columns
+        probe = Tensor(rng.normal(size=(4, 60)), dtype="f64")
+        report = grad_check(
+            lambda t: vdot(unfold(t, [2, 4], stride=2), probe),
+            Tensor(rng.normal(size=(3, 4, 4)), dtype="f64"),
+        )
         assert report.max_rel_err < 1e-8
+
+    def test_unfold_sums_the_kernels_cotangents_last_to_first(self):
+        # Bitwise what backward gave when each kernel was its own unfold node;
+        # three kernels, so the association of the sum shows in the bits.
+        rng = np.random.default_rng(10)
+        kernels = [2, 4, 6]
+        x = Tensor(rng.normal(size=(2, 4, 6)), dtype="f64")
+        g = rng.normal(size=(6, 2 * sum(k * k for k in kernels)))
+
+        def cotangent(ks, g):
+            with trace() as tr:
+                unfold(x, ks, stride=2)
+            (gx,) = tr.nodes[0].vjp(g)
+            return gx
+
+        starts = np.cumsum([0] + [2 * k * k for k in kernels])
+        parts = [cotangent([k], g[:, a:b]) for k, a, b in zip(kernels, starts, starts[1:])]
+        want = (parts[2] + parts[1]) + parts[0]
+        assert cotangent(kernels, g).tobytes() == want.tobytes()
 
     def test_subset_of_coordinates(self):
         rng = np.random.default_rng(9)
@@ -300,13 +304,18 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="step h" if name == "h" else name):
             grad_check(f, Tensor(np.ones(3), dtype="f64"), **kwargs)
 
-    @pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf])
+    @pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf, "a", None, complex(1, 0)])
     def test_a_step_that_is_not_finite_and_positive_is_rejected(self, h):
         def f(t):
             raise AssertionError("grad_check ran f with a bad step")
 
         with pytest.raises(ValueError, match="step h"):
             grad_check(f, Tensor(np.ones(3), dtype="f64"), h=h)
+
+    def test_a_numpy_float_step_is_accepted(self):
+        x = Tensor(np.ones(3), dtype="f64")
+        report = grad_check(lambda t: vdot(t, t), x, h=np.float32(1e-3))
+        assert report.max_rel_err < 1e-6
 
     def test_a_negative_seed_is_rejected_before_f_runs(self):
         def f(t):

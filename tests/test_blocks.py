@@ -469,6 +469,27 @@ class TestMultiScalePatchEmbed:
         want = np.stack(rows) @ p.projection.weight.numpy() + p.projection.bias.numpy()
         assert np.array_equal(got, want)
 
+    def test_two_scales_equal_padded_patching_by_hand(self):
+        # Each token's row is its scale-0 patch, then its scale-1 patch of
+        # twice the side, zero-padded by stride / 2 around the image.
+        rng = np.random.default_rng(21)
+        c_in, h, w, stride, c_out = 2, 8, 12, 4, 6
+        p = init_embed(rng, c_in, c_out, stride=stride, scales=(0, 1), dtype="f64")
+        x = rng.normal(size=(c_in, h, w))
+        got = multi_scale_patch_embed(Tensor(x), p).numpy()
+
+        q = stride // 2
+        padded = np.zeros((c_in, h + 2 * q, w + 2 * q))
+        padded[:, q : q + h, q : q + w] = x
+        rows = []
+        for i in range(0, h, stride):
+            for j in range(0, w, stride):
+                scale0 = x[:, i : i + stride, j : j + stride].reshape(-1)
+                scale1 = padded[:, i : i + 2 * stride, j : j + 2 * stride].reshape(-1)
+                rows.append(np.concatenate([scale0, scale1]))
+        want = np.stack(rows) @ p.projection.weight.numpy() + p.projection.bias.numpy()
+        assert np.array_equal(got, want)
+
     def test_two_scale_shape_arithmetic(self):
         rng = np.random.default_rng(16)
         p = init_embed(rng, c_in=3, c_out=10, stride=4, scales=(0, 1), dtype="f64")

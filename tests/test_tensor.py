@@ -10,7 +10,6 @@ from raftmlp.tensor import (
     ShapeError,
     Tensor,
     add,
-    concat,
     seq_sum,
     unfold,
     vdot,
@@ -93,6 +92,14 @@ class TestTensorType:
         assert np.array_equal(Tensor.zeros((2, 2)).numpy(), np.zeros((2, 2)))
         assert np.array_equal(Tensor.ones((3,), dtype="f64").numpy(), np.ones(3))
 
+    @pytest.mark.parametrize("make", [Tensor.zeros, Tensor.ones], ids=["zeros", "ones"])
+    @pytest.mark.parametrize(
+        "shape", [(2.5,), True, (2, True), (-1,), (0, 3), (np.int64(2),), "ab", None]
+    )
+    def test_zeros_ones_reject_a_shape_entry_that_is_not_an_int_of_at_least_one(self, make, shape):
+        with pytest.raises(ValueError, match="shape entries must be ints >= 1"):
+            make(shape)
+
 
 class TestPatchGrid:
     def test_tokens(self):
@@ -117,24 +124,6 @@ class TestElementwise:
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
             add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
-
-
-class TestConcat:
-    def test_shape_arithmetic(self):
-        out = concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 5)))], axis=1)
-        assert out.shape == (2, 8)
-
-    def test_prefix_preserved(self):
-        rng = np.random.default_rng(0)
-        a = Tensor(rng.normal(size=(4, 3)))
-        b = Tensor(rng.normal(size=(4, 5)))
-        out = concat([a, b], axis=1)
-        assert np.array_equal(out.numpy()[:, :3], a.numpy())
-        assert np.array_equal(out.numpy()[:, 3:], b.numpy())
-
-    def test_mismatched_other_axes(self):
-        with pytest.raises(ShapeError):
-            concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))], axis=1)
 
 
 @st.composite
@@ -187,65 +176,92 @@ class TestSeqSum:
         assert got.tobytes() == want.tobytes()
 
 
+def _unfold_oracle(x, kernels, stride):
+    """Token-major patches by a plain loop: one row per token, kernels side by side."""
+    c, h, w = x.shape
+    padded = []
+    for k in kernels:
+        q = (k - stride) // 2
+        buf = np.zeros((c, h + 2 * q, w + 2 * q), dtype=x.dtype)
+        buf[:, q : q + h, q : q + w] = x
+        padded.append(buf)
+    rows = []
+    for i in range(0, h, stride):
+        for j in range(0, w, stride):
+            blocks = [p[:, i : i + k, j : j + k].reshape(-1) for k, p in zip(kernels, padded)]
+            rows.append(np.concatenate(blocks))
+    return np.stack(rows)
+
+
 class TestUnfold:
     def test_single_full_patch(self):
         x = Tensor(np.arange(16.0).reshape(1, 4, 4))
-        out = unfold(x, kernel=4, stride=4, padding=0)
-        assert out.shape == (16, 1)
-        assert np.array_equal(out.numpy()[:, 0], np.arange(16.0))
+        out = unfold(x, [4], stride=4)
+        assert out.shape == (1, 16)
+        assert np.array_equal(out.numpy()[0], np.arange(16.0))
 
-    def test_overlapping_with_padding_shape(self):
-        x = Tensor(np.zeros((3, 8, 8)))
-        out = unfold(x, kernel=8, stride=4, padding=2)
-        # ((8 + 4 - 8) / 4 + 1)^2 = 4 tokens, 3 * 64 = 192 rows
-        assert out.shape == (192, 4)
+    def test_shape_sums_the_kernels_columns(self):
+        out = unfold(Tensor(np.zeros((3, 8, 12))), [4, 8], stride=4)
+        # (8 / 4) * (12 / 4) = 6 tokens, 3 * (16 + 64) = 240 columns
+        assert out.shape == (6, 240)
 
     def test_zero_input_zero_output(self):
         x = Tensor(np.zeros((2, 6, 6)))
-        out = unfold(x, kernel=4, stride=2, padding=1)
+        out = unfold(x, [2, 4], stride=2)
         assert not out.numpy().any()
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
-    @pytest.mark.parametrize("k, p, q", [(4, 4, 0), (8, 4, 2), (2, 2, 0), (4, 2, 1)])
-    def test_matches_patch_loop_oracle(self, k, p, q, dtype):
-        # The presets' (kernel, stride, padding) geometries on a non-square image.
-        c, h, w = 2, 8, 12
+    @pytest.mark.parametrize(
+        "kernels, stride", [((4, 8), 4), ((2, 4), 2), ((16,), 16), ((2,), 2), ((8, 4), 4)]
+    )
+    def test_matches_patch_loop_oracle(self, kernels, stride, dtype):
+        # The presets' (kernels, stride) geometries, then kernels in descending
+        # order, which keep the order given, on a non-square image.
+        c, h, w = 2, 2 * stride, 3 * stride
         x = Tensor(np.random.default_rng(3).normal(size=(c, h, w)), dtype=dtype).numpy()
-        got = unfold(Tensor(x), kernel=k, stride=p, padding=q).numpy()
-
-        padded = np.zeros((c, h + 2 * q, w + 2 * q), dtype=x.dtype)
-        padded[:, q : q + h, q : q + w] = x
-        cols = []
-        for i in range(0, h + 2 * q - k + 1, p):
-            for j in range(0, w + 2 * q - k + 1, p):
-                cols.append(padded[:, i : i + k, j : j + k].reshape(-1))
-        want = np.stack(cols, axis=1)
+        got = unfold(Tensor(x), kernels, stride).numpy()
+        want = _unfold_oracle(x, kernels, stride)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert np.array_equal(got, want)
 
     def test_tiling_is_bijective(self):
-        # kernel == stride, no padding: every input element appears exactly once
+        # kernel == stride: every input element appears exactly once
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 8, 8))
-        out = unfold(Tensor(x), kernel=4, stride=4, padding=0).numpy()
+        out = unfold(Tensor(x), [4], stride=4).numpy()
         assert out.size == x.size
         assert sorted(out.reshape(-1).tolist()) == sorted(x.reshape(-1).tolist())
 
-    def test_rejects_bad_geometry(self):
-        # (7 + 0 - 4) = 3 is not divisible by the stride 2
-        x = Tensor(np.zeros((1, 7, 7)))
-        with pytest.raises(ShapeError):
-            unfold(x, kernel=4, stride=2, padding=0)
+    def test_rejects_a_tensor_that_is_not_rank_3(self):
+        with pytest.raises(ShapeError, match=r"\[c, h, w\]"):
+            unfold(Tensor(np.zeros((4, 4))), [2], stride=2)
+
+    @pytest.mark.parametrize("kernels", [[], (), 2, None])
+    def test_rejects_kernels_that_are_not_a_non_empty_list_or_tuple(self, kernels):
+        with pytest.raises(ShapeError, match="non-empty list or tuple"):
+            unfold(Tensor(np.zeros((1, 4, 4))), kernels, stride=2)
 
     @pytest.mark.parametrize(
-        "kernel, stride, padding", [(2.0, 2, 0), (2, 2.0, 0), (2, 2, 0.0), (True, True, False)]
+        "kernels, stride",
+        [([2.0], 2), ([2], 2.0), ([True], 1), ([2], True), ([np.int64(2)], 2), ([2, 4.0], 2)],
     )
-    def test_rejects_non_int_sizes(self, kernel, stride, padding):
+    def test_rejects_non_int_sizes(self, kernels, stride):
         with pytest.raises(ShapeError, match="must be ints"):
-            unfold(Tensor(np.zeros((1, 4, 4))), kernel, stride, padding)
+            unfold(Tensor(np.zeros((1, 4, 4))), kernels, stride)
 
-    def test_rejects_non_positive_kernel(self):
-        with pytest.raises(ShapeError):
-            unfold(Tensor(np.zeros((1, 4, 4))), kernel=0, stride=1, padding=0)
+    @pytest.mark.parametrize(
+        "kernels, stride",
+        [([1], 2), ([2, 3], 2), ([5], 2), ([0], 0), ([2], 0), ([2], -2)],
+        ids=["below-stride", "odd-after-even", "other-parity", "zero", "zero-stride", "neg-stride"],
+    )
+    def test_rejects_a_kernel_below_the_stride_or_of_the_other_parity(self, kernels, stride):
+        with pytest.raises(ShapeError, match="of its parity"):
+            unfold(Tensor(np.zeros((1, 4, 4))), kernels, stride)
+
+    @pytest.mark.parametrize("h, w", [(7, 8), (8, 6)])
+    def test_rejects_an_indivisible_image(self, h, w):
+        with pytest.raises(ShapeError, match="not divisible by stride 4"):
+            unfold(Tensor(np.zeros((1, h, w))), [4, 8], stride=4)
 
 
 class TestVdot:
