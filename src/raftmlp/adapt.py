@@ -4,8 +4,9 @@ Token-mixing parameters are sized for the grid the model was built for.
 To run at another resolution, each token-mixing block is wrapped in a
 bicubic sandwich: resample the runtime token grid to the build grid,
 mix, resample back. The resample reads the [tokens, c] tensor as its
-[h, w, c] grid and works in that layout, with no transpose. Channel
-mixing and patch embedding are grid-size agnostic and run untouched.
+[h, w, c] grid, the layout every resample runs in, and transposes only
+its result back to tokens. Channel mixing and patch embedding are
+grid-size agnostic and run untouched.
 A resample axis whose plan is the identity (same size, so taps
 (0, 1, 0, 0) exactly) is skipped, so at the native resolution the
 adapted forward pass is the plain one, bit for bit.
@@ -24,7 +25,8 @@ from .ops import _resize_grid, bicubic_resize
 from .tensor import PatchGrid, ShapeError, Tensor, _is_int
 
 # Activations grow with the pixel count: at 1024 x 1024 an f32 raftmlp-l
-# forward_adapted peaks about 0.6 GB above the model's own weights.
+# forward_adapted peaks about 0.45 GB of resident memory above the process
+# with the model built.
 MAX_EXTENT = 1024
 
 
@@ -61,9 +63,9 @@ def adapted_token_mixing(
     c = x.shape[-1]
     run = (run_grid.h_prime, run_grid.w_prime)
     train = (train_grid.h_prime, train_grid.w_prime)
-    tokens = _resize_grid(x, run + (c,), 0, *train)
+    tokens = _resize_grid(x, run + (c,), *train)
     tokens = token_mix(tokens, params, train_grid)
-    return _resize_grid(tokens, train + (c,), 0, *run)
+    return _resize_grid(tokens, train + (c,), *run)
 
 
 def forward_adapted(model: Model, image: Tensor) -> Tensor:

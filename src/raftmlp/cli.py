@@ -176,8 +176,17 @@ def _load_model(preset: str, weights_path: str):
 def _cmd_forward(args) -> int:
     model = _load_model(args.preset, args.weights)
     image = read_ppm(args.image)
+    native = model.config.resolution
     if args.adapt_resolution:
         logits = forward_adapted(model, image)
+    elif image.shape[1:] != native:
+        print(
+            f"raftmlp forward: error: {args.preset} runs at {native[0]}x{native[1]}, "
+            f"the image is {image.shape[1]}x{image.shape[2]}; "
+            "pass --adapt-resolution for other sizes",
+            file=sys.stderr,
+        )
+        return EX_USAGE
     else:
         logits = forward(model, image)
     probs = softmax(logits).numpy()

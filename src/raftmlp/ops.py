@@ -7,15 +7,17 @@ differentiate through it. The forward and VJP arithmetic of ``linear`` and
 and ``_layer_norm_forward`` / ``_layer_norm_vjp``, which ``blocks.mixing_mlp``
 shares, so each formula is written once; layer norm's channel sums are per-row
 ``np.einsum`` reductions. f32 GELU is 0.5 x (1 + tanh(x P(x^2))), run in
-cache-sized blocks. ``bicubic_resize`` resamples one axis at a time: one
-gather per tap, and the four weighted taps summed in a fixed order. ``_resize_grid``
-runs the same arithmetic on a [c, h, w] tensor or on a [h * w, c] token tensor
-in its own layout, and skips an axis whose plan is the identity.
+cache-sized blocks. Every bicubic resample runs in one layout, an [h, w, c]
+array in and [c, h', w'] out, one BLAS product per axis with the dense
+interpolation matrix built from ``_resize_plan``; an axis whose plan is the
+identity is skipped. ``bicubic_resize`` moves its [c, h, w] planes into that
+layout, and ``_resize_grid`` reads a [h * w, c] token tensor as it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Real
 
 import numpy as np
@@ -289,8 +291,9 @@ def _cubic_kernel(t: np.ndarray) -> np.ndarray:
     return np.where(t <= 1.0, near, np.where(t < 2.0, far, 0.0))
 
 
+@lru_cache(maxsize=128)
 def _resize_plan(n_in: int, n_out: int):
-    """Clamped source indices [n_out, 4] and tap weights [n_out, 4]."""
+    """Clamped source indices [n_out, 4] and tap weights [n_out, 4], read-only."""
     scale = n_in / n_out
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * scale - 0.5
     base = np.floor(src)
@@ -298,78 +301,86 @@ def _resize_plan(n_in: int, n_out: int):
     offsets = np.stack([frac + 1.0, frac, frac - 1.0, frac - 2.0], axis=1)
     weights = _cubic_kernel(offsets)
     idx = base.astype(np.int64)[:, None] + np.arange(-1, 3)[None, :]
-    return np.clip(idx, 0, n_in - 1), weights
+    idx = np.clip(idx, 0, n_in - 1)
+    idx.flags.writeable = weights.flags.writeable = False
+    return idx, weights
 
 
 # The taps of a same-size plan: the centre sample, weighted exactly one.
 _IDENTITY_TAPS = np.array([0.0, 1.0, 0.0, 0.0])
 
 
-def _resize_axis(arr: np.ndarray, axis: int, n_out: int):
-    """Resample one axis: each tap gathered once, the four summed in a fixed order.
+def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray | None:
+    """The plan's dense [n_out, n_in] interpolation matrix in ``dtype``.
 
-    Returns the result and the plan ``_resize_axis_vjp`` reads. When the
-    plan from ``_resize_plan`` is exactly the identity (centre tap i on
-    row i, weights (0, 1, 0, 0)), the result is ``arr`` itself and the
-    plan None.
+    Built from ``_resize_plan`` on every call, taps that clamp onto the
+    same sample summed in f64. None when the plan is exactly the identity
+    (centre tap i on row i, weights (0, 1, 0, 0)).
     """
-    n_in = arr.shape[axis]
     idx, weights = _resize_plan(n_in, n_out)
     if (
         n_out == n_in
         and np.array_equal(idx[:, 1], np.arange(n_in))
         and (weights == _IDENTITY_TAPS).all()
     ):
-        return arr, None
-    weights = weights.astype(arr.dtype)
-    wshape = [1] * arr.ndim
-    wshape[axis] = n_out
-    tap = lambda k: np.take(arr, idx[:, k], axis=axis) * weights[:, k].reshape(wshape)
-    return ((tap(0) + tap(1)) + tap(2)) + tap(3), (idx, weights)
+        return None
+    flat = (np.arange(n_out)[:, None] * n_in + idx).ravel()
+    m = np.bincount(flat, weights.ravel(), minlength=n_out * n_in)
+    return m.reshape(n_out, n_in).astype(dtype)
 
 
-def _resize_axis_vjp(g: np.ndarray, n_in: int, axis: int, plan) -> np.ndarray:
-    if plan is None:
-        return g
-    idx, weights = plan
-    shape = list(g.shape)
-    shape[axis] = n_in
-    acc = np.zeros(shape, dtype=g.dtype)
-    wshape = [1] * g.ndim
-    wshape[axis] = g.shape[axis]
-    for k in range(4):
-        contrib = g * weights[:, k].reshape(wshape)
-        np.add.at(acc, (slice(None),) * axis + (idx[:, k],), contrib)
-    return acc
+def _resize_axis(arr: np.ndarray, m: np.ndarray | None) -> np.ndarray:
+    """[n_in, k] -> [k, n_out]: the leading axis resampled by ``m``, then moved last.
 
-
-def _resize_grid(x: Tensor, grid: tuple, axis: int, out_h: int, out_w: int) -> Tensor:
-    """Bicubic resample of axes ``axis`` (to out_h) and ``axis + 1`` (to out_w).
-
-    ``x`` is read as ``grid``: either its own shape, or its shape with
-    the two resampled axes merged into one (a row-major [h * w, c] token
-    tensor read as [h, w, c]). The result is laid out the same way. The
-    h axis is resampled first; the whole resample is one tape node, and
-    an input whose plans are both the identity comes back as ``x``.
+    One matrix product, arr.T @ m.T; a None ``m`` (the identity) is the
+    transposed view alone.
     """
-    if x.size != int(np.prod(grid)):
-        raise ShapeError(f"resample: a {x.shape} tensor cannot be read as {grid}")
-    arr = x.numpy().reshape(grid)
-    mid, plan_h = _resize_axis(arr, axis, out_h)
-    res, plan_w = _resize_axis(mid, axis + 1, out_w)
-    if plan_h is None and plan_w is None:
-        return x
-    shape = res.shape
-    if x.rank < len(grid):
-        shape = shape[:axis] + (out_h * out_w,) + shape[axis + 2 :]
-    out = Tensor._wrap(res.reshape(shape))
-    h, w = grid[axis], grid[axis + 1]
+    return arr.T if m is None else arr.T @ m.T
+
+
+def _resize_axis_vjp(g: np.ndarray, m: np.ndarray | None) -> np.ndarray:
+    """Adjoint of ``_resize_axis``: [k, n_out] -> [n_in, k], the product m.T @ g.T."""
+    return g.T if m is None else m.T @ g.T
+
+
+def _resample(hwc: np.ndarray, out_h: int, out_w: int):
+    """Bicubic resample of an [h, w, c] array to [c, out_h, out_w], and its VJP.
+
+    Every resample runs in this one layout: the h product turns [h, w * c]
+    into [w * c, out_h], the w product turns [w, c * out_h] into
+    [c * out_h, out_w]. The VJP maps a [c, out_h, out_w] cotangent back to
+    [h, w, c]. When both plans are the identity the result is None.
+    """
+    h, w, c = hwc.shape
+    m_h = _resize_matrix(h, out_h, hwc.dtype)
+    m_w = _resize_matrix(w, out_w, hwc.dtype)
+    if m_h is None and m_w is None:
+        return None, None
+    mid = _resize_axis(hwc.reshape(h, w * c), m_h)
+    res = _resize_axis(mid.reshape(w, c * out_h), m_w).reshape(c, out_h, out_w)
 
     def vjp(g):
-        g = _resize_axis_vjp(g.reshape(res.shape), w, axis + 1, plan_w)
-        return (_resize_axis_vjp(g, h, axis, plan_h).reshape(x.shape),)
+        g = _resize_axis_vjp(g.reshape(c * out_h, out_w), m_w)
+        return _resize_axis_vjp(g.reshape(w * c, out_h), m_h).reshape(h, w, c)
 
-    _tape.record("bicubic_resize", (x,), out, vjp)
+    return res, vjp
+
+
+def _resize_grid(x: Tensor, grid: tuple, out_h: int, out_w: int) -> Tensor:
+    """Bicubic resample of an [h * w, c] token tensor read as its [h, w, c] ``grid``.
+
+    The result is the [out_h * out_w, c] token tensor, recorded as one tape
+    node; an input whose plans are both the identity comes back as ``x``.
+    """
+    h, w, c = grid
+    if x.shape != (h * w, c):
+        raise ShapeError(f"resample: a {x.shape} tensor cannot be read as {grid}")
+    res, vjp = _resample(x.numpy().reshape(grid), out_h, out_w)
+    if res is None:
+        return x
+    out = Tensor._wrap(res.transpose(1, 2, 0).reshape(out_h * out_w, c))
+    vjp_tokens = lambda g: (vjp(g.reshape(out_h, out_w, c).transpose(2, 0, 1)).reshape(x.shape),)
+    _tape.record("bicubic_resize", (x,), out, vjp_tokens)
     return out
 
 
@@ -377,15 +388,22 @@ def bicubic_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Separable cubic-convolution resampling of a [c, h, w] tensor.
 
     Half-pixel center alignment, border taps clamped to the edge, and the
-    kernel parameter fixed at the constant a = -0.75. Each axis gathers
-    its four taps, scales each by its weight and sums them in the fixed
-    order ((t0 + t1) + t2) + t3, h axis first. With out == in the plan is
-    the identity, taps (0, 1, 0, 0) exactly, and that axis is skipped, so
-    a same-size resize returns the input bitwise, -0.0 included. A target
-    that is not an int >= 1 (a float, a bool) is a ShapeError.
+    kernel parameter fixed at the constant a = -0.75. The planes move to
+    the [h, w, c] layout every resample runs in, and each axis is one
+    matrix product with its dense interpolation matrix, h axis first, so
+    the low bits depend on the BLAS thread count. With out == in the plan
+    is the identity, taps (0, 1, 0, 0) exactly, and that axis is skipped,
+    so a same-size resize returns the input bitwise, -0.0 included. A
+    target that is not an int >= 1 (a float, a bool) is a ShapeError.
     """
     if x.rank != 3:
         raise ShapeError(f"bicubic_resize needs a [c, h, w] tensor, got {x.shape}")
     if not (_is_int(out_h) and _is_int(out_w)) or out_h < 1 or out_w < 1:
         raise ShapeError(f"bicubic_resize: target {out_h!r}x{out_w!r} must be ints >= 1")
-    return _resize_grid(x, x.shape, 1, out_h, out_w)
+    res, vjp = _resample(np.ascontiguousarray(x.numpy().transpose(1, 2, 0)), out_h, out_w)
+    if res is None:
+        return x
+    out = Tensor._wrap(res)
+    vjp_planes = lambda g: (np.ascontiguousarray(vjp(g).transpose(2, 0, 1)),)
+    _tape.record("bicubic_resize", (x,), out, vjp_planes)
+    return out

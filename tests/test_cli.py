@@ -236,8 +236,10 @@ class TestForward:
     def test_off_grid_image_without_adaptation(self, capsys, weights_path, tmp_path):
         small = write_ppm(tmp_path / "small.ppm", 96, 96)
         argv = ["forward", "raftmlp-s", "--weights", weights_path, "--image", small]
-        assert main(argv) == EX_USAGE
-        assert "forward_adapted" in capsys.readouterr().err
+        assert main(argv) == EX_USAGE == 1
+        err = capsys.readouterr().err
+        assert "--adapt-resolution" in err and "96x96" in err and "224x224" in err
+        assert "forward_adapted" not in err
 
     def test_off_grid_image_with_adaptation(self, capsys, weights_path, tmp_path):
         small = write_ppm(tmp_path / "small.ppm", 96, 96)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import raftmlp
 
+from raftmlp.adapt import forward_adapted
 from raftmlp.autograd import trace
 from raftmlp.blocks import channel_mixing, multi_scale_patch_embed, raft_token_mixing
 from raftmlp.cost import cost_report
@@ -421,6 +422,19 @@ class TestUntapedForward:
         assert untaped.tobytes() == taped.tobytes()
 
 
+def _f64_twin(model32):
+    """The f64 model holding ``model32``'s weights upcast."""
+    upcast = {n: Tensor(t.numpy(), dtype="f64") for n, t in named_parameters(model32).items()}
+    zeros = build_preset(model32.config.name, init="zeros", dtype="f64", seed=1)
+    return replace_parameters(zeros, upcast)
+
+
+def _gap(got, want):
+    """max|f32 - f64| / max|f64|."""
+    assert got.dtype == "f32" and want.dtype == "f64"
+    return np.max(np.abs(got.numpy() - want.numpy())) / np.max(np.abs(want.numpy()))
+
+
 class TestErrorBudget:
     """How far the f32 forward may sit from the f64 forward of the same weights.
 
@@ -432,21 +446,27 @@ class TestErrorBudget:
     @pytest.mark.parametrize("name", ["raftmlp-s", "mixer-b16", "mixer-b16-cr2"])
     def test_f32_within_budget_of_its_f64_twin(self, name):
         model32 = build_preset(name, seed=1)
-        upcast = {n: Tensor(t.numpy(), dtype="f64") for n, t in named_parameters(model32).items()}
-        model64 = replace_parameters(build_preset(name, init="zeros", dtype="f64", seed=1), upcast)
-
-        def gap(got, want):
-            assert got.dtype == "f32" and want.dtype == "f64"
-            return np.max(np.abs(got.numpy() - want.numpy())) / np.max(np.abs(want.numpy()))
-
+        model64 = _f64_twin(model32)
         for seed in (0, 1):
             image = np.random.default_rng(seed).normal(size=(3, 224, 224)).astype(np.float32)
             levels32 = level_outputs(model32, Tensor(image, dtype="f32"))
             levels64 = level_outputs(model64, Tensor(image, dtype="f64"))
             for got, want in zip(levels32, levels64):
-                assert gap(got, want) <= 2e-6
+                assert _gap(got, want) <= 2e-6
             # forward's logits, taken from the last level without a second run.
-            assert gap(_classify(model32, levels32[-1]), _classify(model64, levels64[-1])) <= 1e-6
+            assert _gap(_classify(model32, levels32[-1]), _classify(model64, levels64[-1])) <= 1e-6
+
+    def test_adapted_f32_within_budget_of_its_f64_twin(self):
+        # forward_adapted adds the bicubic pre-resize and every block's
+        # resample sandwich to the f32 round-off; the logits keep the bound.
+        model32 = build_preset("raftmlp-s", seed=1)
+        model64 = _f64_twin(model32)
+        for hw in ((197, 131), (300, 280), (130, 250)):
+            for seed in (0, 1):
+                image = np.random.default_rng(seed).normal(size=(3, *hw)).astype(np.float32)
+                got = forward_adapted(model32, Tensor(image, dtype="f32"))
+                want = forward_adapted(model64, Tensor(image, dtype="f64"))
+                assert _gap(got, want) <= 1e-6, (hw, seed)
 
 
 class TestParameterPlumbing:
