@@ -11,27 +11,31 @@ Layout (all integers little-endian, scalars little-endian row-major):
         rank     u32, dims u64 * rank,
         payload  dtype-size * prod(dims) bytes
 
-Round trips are bitwise lossless. Loading into a model requires the
-stored names to match the model's parameter names exactly, and each
-stored tensor to have its parameter's dtype and shape.
+Round trips are bitwise lossless. Every length the file declares is
+checked against the bytes it holds before a buffer of that size exists,
+and a pipe is read in bounded chunks; a NaN or Inf in a payload is a
+``ContainerError`` (CLI exit 3). Loading into a model requires the stored
+names to match the model's parameter names exactly, and each stored
+tensor to have its parameter's dtype and shape.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Mapping
 
 import numpy as np
 
 from .models import Model, _map_parameters, _mismatch, named_parameters
+from .netpbm import _read_exact
 from .tensor import Tensor
 
 MAGIC = b"RFTW"
 VERSION = 1
 
-_DTYPE_CODES = {"f32": 0, "f64": 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_CODE_NAMES = {0: "f32", 1: "f64"}
+# Stored scalar types; a type's code on disk is its position here.
+_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
 
 class ContainerError(ValueError):
@@ -57,65 +61,54 @@ class ContainerNameError(ContainerError):
 def save_tensors(tensors: Mapping[str, Tensor], path) -> None:
     """Write a name -> tensor mapping; iteration order is preserved."""
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(tensors)))
+        f.write(MAGIC + struct.pack("<IQ", VERSION, len(tensors)))
         for name, tensor in tensors.items():
             encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", _DTYPE_CODES[tensor.dtype]))
-            f.write(struct.pack("<I", tensor.rank))
-            for dim in tensor.shape:
-                f.write(struct.pack("<Q", dim))
-            f.write(tensor.numpy().astype(_CODE_DTYPES[_DTYPE_CODES[tensor.dtype]]).tobytes())
+            code = list(_DTYPES).index(tensor.dtype)
+            f.write(struct.pack(f"<I{len(encoded)}sBI{tensor.rank}Q",
+                                len(encoded), encoded, code, tensor.rank, *tensor.shape))
+            f.write(tensor.numpy().astype(_DTYPES[tensor.dtype]).tobytes())
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise ContainerTruncatedError(
-            f"truncated container: wanted {n} bytes for {what}, got {len(data)}"
-        )
-    return data
+def _field(f, fmt: str, what: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), ContainerTruncatedError, what))
 
 
 def load_tensors(path) -> dict:
     """Read a container back into an ordered name -> tensor dict."""
     out: dict[str, Tensor] = {}
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
+        (magic,) = _field(f, "<4s", "magic")
         if magic != MAGIC:
             raise ContainerMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
+        (version,) = _field(f, "<I", "version")
         if version != VERSION:
             raise ContainerVersionError(f"unsupported version {version}, expected {VERSION}")
-        (count,) = struct.unpack("<Q", _read_exact(f, 8, "tensor count"))
+        (count,) = _field(f, "<Q", "tensor count")
         for i in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4, f"name length #{i}"))
+            (name_len,) = _field(f, "<I", f"name length #{i}")
+            (encoded,) = _field(f, f"<{name_len}s", f"name #{i}")
             try:
-                name = _read_exact(f, name_len, f"name #{i}").decode("utf-8")
+                name = encoded.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ContainerError(f"tensor #{i} name is not valid UTF-8") from exc
             if name in out:
                 raise ContainerNameError(f"duplicate tensor name {name!r}")
-            (code,) = struct.unpack("<B", _read_exact(f, 1, f"dtype of {name!r}"))
-            if code not in _CODE_DTYPES:
+            (code,) = _field(f, "<B", f"dtype of {name!r}")
+            if code >= len(_DTYPES):
                 raise ContainerError(f"tensor {name!r} has unknown dtype code {code}")
-            (rank,) = struct.unpack("<I", _read_exact(f, 4, f"rank of {name!r}"))
-            dims = struct.unpack(
-                f"<{rank}Q", _read_exact(f, 8 * rank, f"dims of {name!r}")
-            )
+            dtype_name, dtype = list(_DTYPES.items())[code]
+            (rank,) = _field(f, "<I", f"rank of {name!r}")
+            dims = _field(f, f"<{rank}Q", f"dims of {name!r}")
             if any(d < 1 for d in dims):
                 raise ContainerError(f"tensor {name!r} has a non-positive dimension {dims}")
-            n_scalars = 1
-            for d in dims:
-                n_scalars *= d
             payload = _read_exact(
-                f, n_scalars * _CODE_DTYPES[code].itemsize, f"payload of {name!r}"
+                f, math.prod(dims) * dtype.itemsize, ContainerTruncatedError, f"payload of {name!r}"
             )
-            arr = np.frombuffer(payload, dtype=_CODE_DTYPES[code]).reshape(dims)
-            out[name] = Tensor(arr, dtype=_CODE_NAMES[code])
+            try:
+                out[name] = Tensor(np.frombuffer(payload, dtype=dtype).reshape(dims), dtype=dtype_name)
+            except ValueError as exc:
+                raise ContainerError(f"tensor {name!r} holds NaN or Inf") from exc
         if f.read(1):
             raise ContainerError("trailing data after the last declared tensor")
     return out

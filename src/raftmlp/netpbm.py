@@ -2,7 +2,10 @@
 
 Only the binary variants with maxval 255 are handled; that keeps the
 package free of external image decoders. Reading scales to [0, 1];
-writing min-max normalizes to the 0..255 byte range.
+writing min-max normalizes to the 0..255 byte range. A header token longer
+than any valid field is refused, and the raster size a header declares is
+checked against the bytes the input holds before a buffer of that size
+exists (``_read_exact``, which the weight container shares).
 """
 
 from __future__ import annotations
@@ -15,12 +18,30 @@ import numpy as np
 from .tensor import Tensor
 
 
-# Bytes per read from an input that reports no size.
 _CHUNK = 1 << 20
+# Longest header token: the magic and any valid size fit well within it.
+_MAX_TOKEN = 20
 
 
 class ImageFormatError(ValueError):
     """Malformed or unsupported netpbm data."""
+
+
+def _read_exact(f, n: int, error: type[ValueError], what: str) -> bytes:
+    """Exactly ``n`` bytes of ``f``, or ``error`` if ``f`` ends first.
+
+    A regular file is read no further than its end, a pipe in ``_CHUNK`` pieces.
+    """
+    info = os.fstat(f.fileno())
+    if stat.S_ISREG(info.st_mode):
+        data = f.read(min(n, info.st_size - f.tell()))
+    else:
+        data = bytearray()
+        while len(data) < n and (chunk := f.read(min(_CHUNK, n - len(data)))):
+            data += chunk
+    if len(data) != n:
+        raise error(f"truncated {what}: wanted {n} bytes, got {len(data)}")
+    return data
 
 
 def _next_token(f) -> bytes:
@@ -41,6 +62,8 @@ def _next_token(f) -> bytes:
                 return token
             continue
         token += ch
+        if len(token) > _MAX_TOKEN:
+            raise ImageFormatError(f"PPM header field longer than {_MAX_TOKEN} bytes")
 
 
 def read_ppm(path) -> Tensor:
@@ -51,32 +74,15 @@ def read_ppm(path) -> Tensor:
             raise ImageFormatError("ASCII PPM (P3) is not supported; use binary P6")
         if magic != b"P6":
             raise ImageFormatError(f"bad magic {magic!r}, expected P6")
-        try:
-            width = int(_next_token(f))
-            height = int(_next_token(f))
-            maxval = int(_next_token(f))
-        except ValueError as exc:
-            raise ImageFormatError("non-numeric PPM header field") from exc
+        fields = [_next_token(f) for _ in range(3)]
+        if not all(field.isdigit() for field in fields):
+            raise ImageFormatError("non-numeric PPM header field")
+        width, height, maxval = map(int, fields)
         if width < 1 or height < 1:
             raise ImageFormatError(f"bad dimensions {width}x{height}")
         if maxval != 255:
             raise ImageFormatError(f"unsupported maxval {maxval}, expected 255")
-        wanted = width * height * 3
-        # The header can declare any size: read no more than a regular file
-        # holds, and a pipe (which reports no size) in bounded chunks, so a
-        # short input fails before a raster-sized buffer exists.
-        info = os.fstat(f.fileno())
-        if stat.S_ISREG(info.st_mode):
-            raster = f.read(min(wanted, info.st_size - f.tell()))
-        else:
-            raster = bytearray()
-            while len(raster) < wanted:
-                chunk = f.read(min(_CHUNK, wanted - len(raster)))
-                if not chunk:
-                    break
-                raster += chunk
-        if len(raster) != wanted:
-            raise ImageFormatError(f"truncated raster: wanted {wanted} bytes, got {len(raster)}")
+        raster = _read_exact(f, width * height * 3, ImageFormatError, "raster")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
     return Tensor._wrap(
         np.ascontiguousarray(pixels.transpose(2, 0, 1)).astype(np.float32) / np.float32(255.0)

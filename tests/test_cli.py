@@ -1,6 +1,8 @@
 """Command-line behavior: output formats and the exit-code contract."""
 
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +227,25 @@ class TestForward:
         err = capsys.readouterr().err
         assert "ContainerError" in err
         assert "head.bias is f64" in err and "head.weight is f32 (512, 10)" in err
+
+    def test_declared_payload_beyond_the_file_is_io_error(self, capsys, image_224, tmp_path):
+        # One f32 tensor declaring 2**33 scalars, with 10 payload bytes.
+        lying = tmp_path / "lying.rftw"
+        lying.write_bytes(
+            b"RFTW" + struct.pack("<IQI", 1, 1, 1) + b"x" + struct.pack("<BIQ", 0, 1, 1 << 33)
+            + bytes(10)
+        )
+        argv = ["forward", "raftmlp-s", "--weights", str(lying), "--image", image_224]
+        assert main(argv) == EX_IO
+        assert "ContainerTruncatedError" in capsys.readouterr().err
+
+    def test_non_finite_weights_are_io_error(self, capsys, weights_path, image_224, tmp_path):
+        nan = tmp_path / "nan.rftw"
+        nan.write_bytes(Path(weights_path).read_bytes()[:-4] + struct.pack("<f", float("nan")))
+        argv = ["forward", "raftmlp-s", "--weights", str(nan), "--image", image_224]
+        assert main(argv) == EX_IO
+        err = capsys.readouterr().err
+        assert "ContainerError" in err and "'head.bias'" in err
 
     def test_ascii_image_is_io_error(self, capsys, weights_path, tmp_path):
         p3 = tmp_path / "ascii.ppm"

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -156,6 +157,78 @@ class TestTensorContainer:
         with pytest.raises(ContainerError, match="non-positive"):
             load_tensors(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_payload_names_the_tensor(self, tmp_path, value):
+        path = tmp_path / "full.rftw"
+        save_tensors({"ok": Tensor(np.ones(2), dtype="f64"),
+                      "bad": Tensor(np.ones((2, 2)), dtype="f32")}, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-4] + struct.pack("<f", value))
+        with pytest.raises(ContainerError, match="'bad'") as exc_info:
+            load_tensors(path)
+        assert type(exc_info.value.__cause__) is ValueError
+
+
+def lying_header(field):
+    """A container that declares far more bytes than it holds, in one field."""
+    head = MAGIC + struct.pack("<IQ", VERSION, 1)
+    if field == "name length":
+        return head + struct.pack("<I", 1 << 31) + b"x" * 10
+    head += struct.pack("<I", 1) + b"x" + struct.pack("<B", 0)
+    if field == "rank":
+        return head + struct.pack("<I", 1 << 28) + struct.pack("<Q", 1) * 2
+    return head + struct.pack("<IQ", 1, 1 << 33) + bytes(10)  # payload
+
+
+class TestDeclaredSizes:
+    """Each declared length fails as a truncation, before a buffer that big exists."""
+
+    FIELDS = ["payload", "rank", "name length"]
+
+    @staticmethod
+    def _peak_of_failing_load(path):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContainerTruncatedError):
+                load_tensors(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_regular_file(self, tmp_path, field):
+        path = tmp_path / "lying.rftw"
+        path.write_bytes(lying_header(field))
+        assert self._peak_of_failing_load(path) < 1 << 20
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_pipe(self, field):
+        read_end, write_end = os.pipe()
+        with open(write_end, "wb") as f:
+            f.write(lying_header(field))
+        try:
+            peak = self._peak_of_failing_load(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert peak < 4 << 20
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_round_trip_is_bitwise(self, tmp_path):
+        path = tmp_path / "weights.rftw"
+        tensors = sample_tensors()
+        save_tensors(tensors, path)
+        read_end, write_end = os.pipe()
+        with open(write_end, "wb") as f:
+            f.write(path.read_bytes())
+        try:
+            loaded = load_tensors(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        for name in tensors:
+            assert np.array_equal(loaded[name].numpy(), tensors[name].numpy())
+
 
 class TestModelWeights:
     def test_save_load_preserves_logits(self, tmp_path):
@@ -306,6 +379,15 @@ class TestPpm:
         path.write_bytes(b"P6\nwide 1\n255\n")
         with pytest.raises(ImageFormatError, match="non-numeric"):
             read_ppm(path)
+
+    @pytest.mark.parametrize("prefix", [b"", b"P6\n"], ids=["magic", "width"])
+    def test_overlong_header_token_fails_fast(self, tmp_path, prefix):
+        path = tmp_path / "long.ppm"
+        path.write_bytes(prefix + b"1" * 1_000_000 + b" 1\n255\n")
+        start = time.perf_counter()
+        with pytest.raises(ImageFormatError, match="longer than"):
+            read_ppm(path)
+        assert time.perf_counter() - start < 0.1
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.ppm"
