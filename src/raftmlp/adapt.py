@@ -68,6 +68,15 @@ def adapted_token_mixing(
     return _resize_grid(tokens, train + (c,), *run)
 
 
+def _check_extent(height: int, width: int) -> None:
+    """Raise ``ShapeError`` if an image extent is over ``MAX_EXTENT``."""
+    if max(height, width) > MAX_EXTENT:
+        raise ShapeError(
+            f"forward_adapted: image {height}x{width} exceeds "
+            f"the {MAX_EXTENT}-pixel cap on each extent"
+        )
+
+
 def forward_adapted(model: Model, image: Tensor) -> Tensor:
     """Logits for a [3, h, w] image with 1 <= h, w <= ``MAX_EXTENT``.
 
@@ -75,10 +84,6 @@ def forward_adapted(model: Model, image: Tensor) -> Tensor:
     ``ShapeError`` before it is resampled.
     """
     _check_image(model, image, "forward_adapted")
-    if max(image.shape[1:]) > MAX_EXTENT:
-        raise ShapeError(
-            f"forward_adapted: image {image.shape[1]}x{image.shape[2]} exceeds "
-            f"the {MAX_EXTENT}-pixel cap on each extent"
-        )
+    _check_extent(*image.shape[1:])
     image = pre_embed_resize(image, model.config.total_stride)
     return _classify(model, _run_levels(model, image, adapted_token_mixing)[-1])

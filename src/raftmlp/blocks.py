@@ -41,7 +41,7 @@ from .ops import (
     _linear_vjp,
     linear,
 )
-from .rearrange import RearrangeSpec, _apply_np, _resolve_sizes, parse_rearrange
+from .rearrange import RearrangeSpec, parse_rearrange, plan
 from .tensor import PatchGrid, ShapeError, Tensor, unfold
 
 
@@ -110,6 +110,8 @@ def mixing_mlp(x: Tensor, p: MixingParams, to_mlp: RearrangeSpec | None = None) 
     One body, traced or not: the steps of ``layer_norm``, ``apply_rearrange``,
     ``linear``, ``gelu``, ``linear``, the inverse rearrange and ``add``, in
     that order on plain arrays, so the same bits as that chain of ops. The
+    move, the unmove and both moves of the VJP run ``to_mlp``'s one cached
+    ``rearrange.plan`` for the input's shape. The
     output is checked for finiteness once; a NaN or Inf raised on the way
     reaches it, since GELU and the matmuls carry it on. Inside an autograd
     trace the whole MLP is one tape node over x and the six parameters,
@@ -119,25 +121,25 @@ def mixing_mlp(x: Tensor, p: MixingParams, to_mlp: RearrangeSpec | None = None) 
     arr = x.numpy()
     y, xhat, inv = _layer_norm_forward(arr, p.ln)
     if to_mlp is not None:
-        sizes = _resolve_sizes(to_mlp, y.shape)
-        y = _apply_np(to_mlp.lhs, to_mlp.rhs, sizes, y)
+        move, unmove = plan(to_mlp, y.shape)
+        y = move(y)
     _check_linear(y.shape, x.dtype, p.fc1)
     h = _linear_forward(y, p.fc1)
     a = _gelu_forward(h)
     _check_linear(a.shape, x.dtype, p.fc2)
     z = _linear_forward(a, p.fc2)
     if to_mlp is not None:
-        z = _apply_np(to_mlp.rhs, to_mlp.lhs, sizes, z)
+        z = unmove(z)
     z += arr
     out = Tensor._wrap(z)
 
     def vjp(g):
-        gz = g if to_mlp is None else _apply_np(to_mlp.lhs, to_mlp.rhs, sizes, g)
+        gz = g if to_mlp is None else move(g)
         ga, gw2, gb2 = _linear_vjp(gz, a, p.fc2)
         # Looked up on the module, as ops.gelu does, so a patched derivative takes effect.
         gy, gw1, gb1 = _linear_vjp(ga * ops._gelu_derivative(h), y, p.fc1)
         if to_mlp is not None:
-            gy = _apply_np(to_mlp.rhs, to_mlp.lhs, sizes, gy)
+            gy = unmove(gy)
         gx, ggamma, gbeta = _layer_norm_vjp(gy, xhat, inv, p.ln)
         return g + gx, ggamma, gbeta, gw1, gb1, gw2, gb2
 

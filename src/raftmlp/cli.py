@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .adapt import forward_adapted
+from .adapt import _check_extent, forward_adapted
 from .container import ContainerError, load_weights
 from .cost import cost_report
 from .models import (
@@ -21,7 +21,7 @@ from .models import (
     level_outputs,
     preset_config,
 )
-from .netpbm import ImageFormatError, read_ppm, write_pgm
+from .netpbm import ImageFormatError, _read_header, _read_raster, read_ppm, write_pgm
 from .ops import softmax
 from .rearrange import rearrange
 from .selftest import BLOCK_NAMES, gradcheck_suite, run as run_selftest
@@ -174,21 +174,24 @@ def _load_model(preset: str, weights_path: str):
 
 
 def _cmd_forward(args) -> int:
+    # The image size comes from the PPM header and is checked before the
+    # raster is decoded or the weights are loaded.
+    native = preset_config(args.preset).resolution
+    with open(args.image, "rb") as f:
+        size = _read_header(f)
+        if args.adapt_resolution:
+            _check_extent(*size)
+        elif size != native:
+            print(
+                f"raftmlp forward: error: {args.preset} runs at {native[0]}x{native[1]}, "
+                f"the image is {size[0]}x{size[1]}; "
+                "pass --adapt-resolution for other sizes",
+                file=sys.stderr,
+            )
+            return EX_USAGE
+        image = _read_raster(f, *size)
     model = _load_model(args.preset, args.weights)
-    image = read_ppm(args.image)
-    native = model.config.resolution
-    if args.adapt_resolution:
-        logits = forward_adapted(model, image)
-    elif image.shape[1:] != native:
-        print(
-            f"raftmlp forward: error: {args.preset} runs at {native[0]}x{native[1]}, "
-            f"the image is {image.shape[1]}x{image.shape[2]}; "
-            "pass --adapt-resolution for other sizes",
-            file=sys.stderr,
-        )
-        return EX_USAGE
-    else:
-        logits = forward(model, image)
+    logits = forward_adapted(model, image) if args.adapt_resolution else forward(model, image)
     probs = softmax(logits).numpy()
     k = min(args.topk, probs.shape[0])
     order = probs.argsort()[::-1][:k]

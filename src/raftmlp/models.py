@@ -28,6 +28,7 @@ mixer-b16-cr1 / -cr2 / -cr4
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
@@ -266,17 +267,22 @@ def token_mix(tokens: Tensor, p: TokenParams, grid: PatchGrid) -> Tensor:
     return mixing_mlp(tokens, p, _TOKEN_TRANSPOSE)
 
 
+@functools.lru_cache(maxsize=64)
+def _level_grids(config: ModelConfig, resolution: tuple) -> tuple:
+    """(run grid, build grid) of each level for an image of ``resolution``."""
+    return tuple(zip(config.grids(resolution), config.grids()))
+
+
 def _run_levels(model: Model, image: Tensor, mix_tokens) -> list:
     """Post-block tokens of every level, with ``mix_tokens`` as the token step.
 
     ``mix_tokens(tokens, params, run_grid, build_grid)`` mixes [tokens, c]
     on the image's grid; ``build_grid`` is the one the parameters fit.
     """
-    run_grids = model.config.grids((image.shape[1], image.shape[2]))
     outputs = []
     x = image
-    for index, (params, run, build) in enumerate(
-        zip(model.levels, run_grids, model.config.grids())
+    for index, (params, (run, build)) in enumerate(
+        zip(model.levels, _level_grids(model.config, image.shape[1:]))
     ):
         tokens = multi_scale_patch_embed(x, params.embed)
         for block in params.blocks:

@@ -69,20 +69,30 @@ def _next_token(f) -> bytes:
 def read_ppm(path) -> Tensor:
     """Binary PPM (P6, maxval 255) as a [3, h, w] f32 tensor in [0, 1]."""
     with open(path, "rb") as f:
-        magic = _next_token(f)
-        if magic == b"P3":
-            raise ImageFormatError("ASCII PPM (P3) is not supported; use binary P6")
-        if magic != b"P6":
-            raise ImageFormatError(f"bad magic {magic!r}, expected P6")
-        fields = [_next_token(f) for _ in range(3)]
-        if not all(field.isdigit() for field in fields):
-            raise ImageFormatError("non-numeric PPM header field")
-        width, height, maxval = map(int, fields)
-        if width < 1 or height < 1:
-            raise ImageFormatError(f"bad dimensions {width}x{height}")
-        if maxval != 255:
-            raise ImageFormatError(f"unsupported maxval {maxval}, expected 255")
-        raster = _read_exact(f, width * height * 3, ImageFormatError, "raster")
+        return _read_raster(f, *_read_header(f))
+
+
+def _read_header(f) -> tuple:
+    """(height, width) from the header of a binary PPM; ``f`` is left at the raster."""
+    magic = _next_token(f)
+    if magic == b"P3":
+        raise ImageFormatError("ASCII PPM (P3) is not supported; use binary P6")
+    if magic != b"P6":
+        raise ImageFormatError(f"bad magic {magic!r}, expected P6")
+    fields = [_next_token(f) for _ in range(3)]
+    if not all(field.isdigit() for field in fields):
+        raise ImageFormatError("non-numeric PPM header field")
+    width, height, maxval = map(int, fields)
+    if width < 1 or height < 1:
+        raise ImageFormatError(f"bad dimensions {width}x{height}")
+    if maxval != 255:
+        raise ImageFormatError(f"unsupported maxval {maxval}, expected 255")
+    return height, width
+
+
+def _read_raster(f, height: int, width: int) -> Tensor:
+    """The [3, height, width] image whose raster ``f`` is positioned at."""
+    raster = _read_exact(f, width * height * 3, ImageFormatError, "raster")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
     return Tensor._wrap(
         np.ascontiguousarray(pixels.transpose(2, 0, 1)).astype(np.float32) / np.float32(255.0)

@@ -12,6 +12,13 @@ Within a group the leftmost name is the slowest-varying factor, so
 
 Axis lengths come from ``bindings`` or are inferred from the input shape;
 at most one axis per left-hand group may be left unbound.
+
+Parsing and execution are cached separately: :func:`parse_rearrange` per
+(pattern, bindings), :func:`plan` per (spec, input shape). A plan holds
+the split shape, the permutation and the merged shape of both directions,
+so applying a spec, its adjoint included, resolves no sizes once the plan
+for that shape exists. Callers that parse at call time therefore still see
+a different spec (a patched parser, say) on the very next call.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -192,13 +199,38 @@ def invert(spec: RearrangeSpec) -> RearrangeSpec:
     return RearrangeSpec(spec.rhs, spec.lhs, spec.bindings)
 
 
-def _resolve_sizes(spec: RearrangeSpec, shape) -> dict:
-    if len(shape) != len(spec.lhs):
+class Move(NamedTuple):
+    """One direction of a plan: reshape to ``split``, permute, copy, reshape to ``merged``."""
+
+    split: tuple
+    perm: tuple
+    merged: tuple
+
+    def __call__(self, arr: np.ndarray) -> np.ndarray:
+        moved = np.ascontiguousarray(arr.reshape(self.split).transpose(self.perm))
+        return moved.reshape(self.merged)
+
+
+def plan(spec: RearrangeSpec, shape) -> tuple:
+    """(forward, inverse) :class:`Move` pair of ``spec`` on an input of ``shape``.
+
+    Plans are cached per (lhs, rhs, bindings, shape), so the sizes are
+    resolved and the permutation built once; the inverse maps the forward's
+    output back to ``shape``. A shape the spec does not fit raises
+    :class:`RearrangeError` on every call.
+    """
+    return _plan(spec.lhs, spec.rhs, tuple(spec.bindings.items()), tuple(shape))
+
+
+@functools.lru_cache(maxsize=512)
+def _plan(lhs: tuple, rhs: tuple, items: tuple, shape: tuple) -> tuple:
+    if len(shape) != len(lhs):
         raise RearrangeError(
-            f"pattern {spec.pattern!r} expects rank {len(spec.lhs)}, got shape {tuple(shape)}"
+            f"pattern '{_side_str(lhs)} -> {_side_str(rhs)}' expects rank {len(lhs)}, "
+            f"got shape {shape}"
         )
-    sizes = dict(spec.bindings)
-    for g, length in zip(spec.lhs, shape):
+    sizes = dict(items)
+    for g, length in zip(lhs, shape):
         known = 1
         unbound = []
         for a in g:
@@ -222,31 +254,34 @@ def _resolve_sizes(spec: RearrangeSpec, shape) -> dict:
             raise RearrangeError(
                 f"group ({' '.join(g)}) has several unbound axes; cannot infer lengths"
             )
-    return sizes
-
-
-def _apply_np(lhs, rhs, sizes: dict, arr: np.ndarray) -> np.ndarray:
     flat_lhs = [a for g in lhs for a in g]
-    arr = arr.reshape([sizes[a] for a in flat_lhs])
     flat_rhs = [a for g in rhs for a in g]
-    arr = arr.transpose([flat_lhs.index(a) for a in flat_rhs])
-    return np.ascontiguousarray(arr).reshape(
-        [math.prod(sizes[a] for a in g) for g in rhs]
+    merged = tuple(math.prod(sizes[a] for a in g) for g in rhs)
+    forward = Move(
+        tuple(sizes[a] for a in flat_lhs), tuple(flat_lhs.index(a) for a in flat_rhs), merged
     )
+    inverse = Move(
+        tuple(sizes[a] for a in flat_rhs), tuple(flat_rhs.index(a) for a in flat_lhs), shape
+    )
+    return forward, inverse
 
 
 def apply_rearrange(spec: RearrangeSpec, t: Tensor) -> Tensor:
-    """Execute a parsed rearrange on a tensor; pure data movement, no arithmetic."""
-    sizes = _resolve_sizes(spec, t.shape)
-    out = Tensor._wrap(_apply_np(spec.lhs, spec.rhs, sizes, t.numpy()))
+    """Execute a parsed rearrange on a tensor; pure data movement, no arithmetic.
 
-    def vjp(g):
-        return (_apply_np(spec.rhs, spec.lhs, sizes, g),)
-
-    _tape.record("rearrange", (t,), out, vjp)
+    The move and its adjoint run the spec's cached :func:`plan` for the
+    tensor's shape.
+    """
+    forward, inverse = plan(spec, t.shape)
+    out = Tensor._wrap(forward(t.numpy()))
+    _tape.record("rearrange", (t,), out, lambda g: (inverse(g),))
     return out
 
 
 def rearrange(t: Tensor, pattern: str, **axes: int) -> Tensor:
-    """One-shot parse + apply, mirroring the usual einops call style."""
+    """Parse + apply, mirroring the usual einops call style.
+
+    The pattern is parsed on every call, through the parse cache, and the
+    resulting spec runs its cached plan for ``t``'s shape.
+    """
     return apply_rearrange(parse_rearrange(pattern, axes), t)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import _tape
 
@@ -204,7 +204,8 @@ def unfold(t: Tensor, kernels, stride: int) -> Tensor:
     block with the k x k patch centred on the token's stride x stride cell,
     in (channel, row, col) order, after zero-padding (k - stride) / 2 on
     every side; out-of-image samples are exactly zero. Each block is one
-    strided window view of its padded image, copied out once. ``kernels``
+    read-only window view of its padded image, built from explicit strides
+    and copied out once. ``kernels``
     is a non-empty list or tuple of sizes >= ``stride`` with k - stride
     even, and h and w are multiples of ``stride``; anything else, sizes
     that are not ints (a float, a bool) included, is a ShapeError.
@@ -224,20 +225,29 @@ def unfold(t: Tensor, kernels, stride: int) -> Tensor:
     if h % stride or w % stride:
         raise ShapeError(f"unfold: image {h}x{w} is not divisible by stride {stride}")
     n_h, n_w = h // stride, w // stride
-    starts = np.cumsum([0] + [c * k * k for k in kernels])
-    column_blocks = list(zip(kernels, starts, starts[1:]))
+    column_blocks = []
+    width = 0
+    for k in kernels:
+        column_blocks.append((k, width, width + c * k * k))
+        width += c * k * k
 
     arr = t.numpy()
-    out = np.empty((n_h, n_w, starts[-1]), dtype=arr.dtype)
+    out = np.empty((n_h, n_w, width), dtype=arr.dtype)
     for k, a, b in column_blocks:
         q = (k - stride) // 2
         padded = np.zeros((c, h + 2 * q, w + 2 * q), dtype=arr.dtype)
         padded[:, q : q + h, q : q + w] = arr
-        # windows[ci, i, j, ki, kj] = padded[ci, i * stride + ki, j * stride + kj]
-        windows = sliding_window_view(padded, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+        # windows[i, j, ci, ki, kj] = padded[ci, i * stride + ki, j * stride + kj]
+        s_c, s_h, s_w = padded.strides
+        windows = as_strided(
+            padded,
+            (n_h, n_w, c, k, k),
+            (stride * s_h, stride * s_w, s_c, s_h, s_w),
+            writeable=False,
+        )
         # Splitting the contiguous last axis keeps this reshape a view of out.
-        out[:, :, a:b].reshape(n_h, n_w, c, k, k)[...] = windows.transpose(1, 2, 0, 3, 4)
-    out = Tensor._wrap(out.reshape(n_h * n_w, starts[-1]))
+        out[:, :, a:b].reshape(n_h, n_w, c, k, k)[...] = windows
+    out = Tensor._wrap(out.reshape(n_h * n_w, width))
 
     # The loop fixes the order in which overlapping patches accumulate;
     # kernels sum last to first, as separate per-kernel nodes would in backward.

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from raftmlp import blocks, models, rearrange, selftest
 from raftmlp.autograd import backward, grad_check, trace
 from raftmlp.blocks import (
     EmbedParams,
@@ -380,6 +381,45 @@ class TestRaftTokenMixing:
                 p = init_raft_token_mixing(rng, grid, raft_size=r, dtype="f64")
                 x = Tensor(rng.normal(size=(h * w, c)), dtype="f64")
                 assert raft_token_mixing(x, p, grid).shape == (h * w, c)
+
+    def test_a_parse_patched_after_a_warm_call_shows_and_its_undo_restores(self, monkeypatch):
+        # Plans are cached per spec and shape, but the spec is parsed at call
+        # time: folding the channels as (o r) must change the output even
+        # though the (r o) plans for these shapes are already built.
+        rng = np.random.default_rng(12)
+        grid = PatchGrid(3, 2, 8)
+        p = init_raft_token_mixing(rng, grid, raft_size=2, dtype="f64")
+        x = Tensor(rng.normal(size=(6, 8)), dtype="f64")
+        warm = raft_token_mixing(x, p, grid).numpy()
+
+        parse = blocks.parse_rearrange
+        monkeypatch.setattr(
+            blocks, "parse_rearrange",
+            lambda pattern, bind=None: parse(pattern.replace("(r o) ->", "(o r) ->"), bind),
+        )
+        folded = raft_token_mixing(x, p, grid).numpy()
+        assert not np.array_equal(folded, warm)
+        monkeypatch.undo()
+        assert raft_token_mixing(x, p, grid).numpy().tobytes() == warm.tobytes()
+
+    def test_a_second_same_size_forward_builds_no_plan(self, monkeypatch):
+        builds = []
+        move = rearrange.Move
+
+        def counted(*args):
+            builds.append(args)
+            return move(*args)
+
+        model = models.build_model(selftest.tiny_config(), dtype="f64")
+        image = Tensor(np.random.default_rng(13).normal(size=(3, 16, 16)), dtype="f64")
+        rearrange._plan.cache_clear()
+        monkeypatch.setattr(rearrange, "Move", counted)
+        first = models.forward(model, image).numpy()
+        assert builds
+        built = len(builds)
+        second = models.forward(model, image).numpy()
+        assert len(builds) == built
+        assert second.tobytes() == first.tobytes()
 
     def test_directional_norms_are_separate(self):
         rng = np.random.default_rng(8)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,30 @@ class TestForward:
         assert main(argv) == EX_USAGE
         err = capsys.readouterr().err
         assert f"{height}x{width}" in err and "1024-pixel cap" in err
+
+
+    @pytest.mark.parametrize("adapt", [True, False])
+    def test_a_huge_image_is_refused_before_its_raster_is_read(self, capsys, weights_path,
+                                                               tmp_path, adapt):
+        # A sparse 4000 x 4000 PPM: 48 MB of raster that the refusal must not decode,
+        # and weights that it need not load.
+        huge = tmp_path / "huge.ppm"
+        header = b"P6\n4000 4000\n255\n"
+        with open(huge, "wb") as f:
+            f.write(header)
+            f.truncate(len(header) + 4000 * 4000 * 3)
+        argv = ["forward", "raftmlp-s", "--weights", weights_path, "--image", str(huge)]
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--adapt-resolution"] * adapt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EX_USAGE
+        assert peak < 8 * 2**20
+        err = capsys.readouterr().err
+        assert "4000x4000" in err
+        assert ("1024-pixel cap" in err) if adapt else ("--adapt-resolution" in err)
 
 
 class TestGradcheck:

@@ -396,6 +396,30 @@ class TestForward:
         assert np.array_equal(forward(collapsed, image).numpy(), bias)
 
 
+    def test_level_grids_are_looked_up_once_per_config_and_resolution(self, monkeypatch):
+        calls = []
+        grids = ModelConfig.grids
+
+        def counted(config, resolution=None):
+            calls.append(resolution)
+            return grids(config, resolution)
+
+        model = build_model(tiny32_config(), dtype="f64")
+        raftmlp.models._level_grids.cache_clear()
+        monkeypatch.setattr(ModelConfig, "grids", counted)
+        rng = np.random.default_rng(6)
+        native = Tensor(rng.normal(size=(3, 32, 32)), dtype="f64")
+        other = Tensor(rng.normal(size=(3, 64, 32)), dtype="f64")
+        first = forward(model, native).numpy()
+        assert calls == [(32, 32), None]  # the run grids and the build grids, once
+        assert np.array_equal(forward(model, native).numpy(), first)
+        assert len(calls) == 2
+        outputs = forward_adapted(model, other)
+        assert calls[2:] == [(64, 32), None]
+        assert forward_adapted(model, other).numpy().tobytes() == outputs.numpy().tobytes()
+        assert len(calls) == 4
+
+
 class TestUntapedForward:
     """Recording the tape leaves the logits' bits alone: untraced equals traced."""
 

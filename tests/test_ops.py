@@ -406,6 +406,17 @@ def _bicubic_oracle(arr, out_h, out_w):
 
 
 class TestBicubic:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 7, 5), (2, 13, 1), (5, 1, 9), (3, 31, 17)])
+    def test_planes_move_to_hwc_as_the_transposed_copy(self, shape, dtype):
+        planes = np.random.default_rng(9).normal(size=shape).astype(dtype)
+        planes[0, 0, 0] = -0.0
+        got = ops._planes_to_hwc(planes)
+        want = np.ascontiguousarray(planes.transpose(1, 2, 0))
+        assert got.flags.c_contiguous
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
     def test_same_size_identity_exhaustive(self):
         rng = np.random.default_rng(5)
         for h in range(1, 17):

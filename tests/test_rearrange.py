@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from raftmlp import rearrange as rearrange_module
+from raftmlp.autograd import trace
 from raftmlp.rearrange import (
     RearrangeError,
     RearrangeSpec,
@@ -181,6 +183,48 @@ class TestApply:
         spec = parse_rearrange("(h w) c -> h w c", {"h": 2, "w": 2})
         with pytest.raises(RearrangeError):
             apply_rearrange(spec, Tensor(np.zeros((6, 2))))
+
+
+class TestPlans:
+    """A plan is built once per (spec, shape), and two shapes never share one."""
+
+    def test_one_spec_at_two_shapes_matches_the_loop_oracle(self):
+        spec = parse_rearrange("b (h w) (r o) -> b (o w) (r h)", {"h": 2, "w": 3, "r": 2})
+        rng = np.random.default_rng(21)
+        # b and o are inferred, so the two shapes resolve to different sizes.
+        shapes = ((2, 6, 8), (3, 6, 4), (2, 6, 8), (3, 6, 4))
+        for b, hw, ro in shapes:
+            x = rng.normal(size=(b, hw, ro))
+            with trace() as tape:
+                y = apply_rearrange(spec, Tensor(x))
+            assert np.array_equal(y.numpy(), _vertical_oracle(x, 2, 3, 2, ro // 2))
+            g = rng.normal(size=y.shape)
+            back = tape.nodes[-1].vjp(g)[0]
+            assert np.array_equal(back, apply_rearrange(invert(spec), Tensor(g)).numpy())
+
+    def test_a_plan_is_built_once_per_spec_and_shape(self, monkeypatch):
+        builds = []
+        move = rearrange_module.Move
+
+        def counted(*args):
+            builds.append(args)
+            return move(*args)
+
+        rearrange_module._plan.cache_clear()
+        monkeypatch.setattr(rearrange_module, "Move", counted)
+        spec = parse_rearrange("(h w) c -> c h w", {"h": 2})
+        for _ in range(3):
+            apply_rearrange(spec, Tensor(np.zeros((6, 5))))
+        # One plan holds both directions.
+        assert len(builds) == 2
+        apply_rearrange(spec, Tensor(np.zeros((8, 5))))
+        assert len(builds) == 4
+
+    def test_a_misfit_shape_raises_on_every_call(self):
+        spec = parse_rearrange("(h w) c -> h w c", {"h": 3})
+        for _ in range(2):
+            with pytest.raises(RearrangeError, match="not divisible"):
+                apply_rearrange(spec, Tensor(np.zeros((8, 2))))
 
 
 class TestInvert:

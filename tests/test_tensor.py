@@ -263,6 +263,18 @@ class TestUnfold:
         with pytest.raises(ShapeError, match="not divisible by stride 4"):
             unfold(Tensor(np.zeros((1, h, w))), [4, 8], stride=4)
 
+    @pytest.mark.parametrize("order", [("f32", "f64"), ("f64", "f32")])
+    def test_one_shape_in_both_dtypes_in_turn_matches_the_oracle(self, order):
+        # The window strides are in bytes, so a view built for one dtype's
+        # itemsize must never serve the other's.
+        x = np.random.default_rng(8).normal(size=(3, 8, 12))
+        for dtype in order * 2:
+            arr = Tensor(x, dtype=dtype).numpy()
+            got = unfold(Tensor(arr), [4, 8], stride=4).numpy()
+            want = _unfold_oracle(arr, (4, 8), 4)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestVdot:
     def test_value_is_a_rank_0_tensor(self):
