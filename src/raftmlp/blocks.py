@@ -104,43 +104,41 @@ class EmbedParams:
             )
 
 
+_NO_MOVE = (lambda arr: arr,) * 2  # channel mixing's (move, unmove) pair
+
+
 def mixing_mlp(x: Tensor, p: MixingParams, to_mlp: RearrangeSpec | None = None) -> Tensor:
     """Residual MLP with the norm on the input layout and the MLP on ``to_mlp``'s.
 
     One body, traced or not: the steps of ``layer_norm``, ``apply_rearrange``,
     ``linear``, ``gelu``, ``linear``, the inverse rearrange and ``add``, in
     that order on plain arrays, so the same bits as that chain of ops. The
-    move, the unmove and both moves of the VJP run ``to_mlp``'s one cached
-    ``rearrange.plan`` for the input's shape. The
-    output is checked for finiteness once; a NaN or Inf raised on the way
-    reaches it, since GELU and the matmuls carry it on. Inside an autograd
-    trace the whole MLP is one tape node over x and the six parameters,
-    whose VJP chains the per-op adjoints in reverse.
+    move, the unmove and both moves of the VJP run one (move, unmove) pair:
+    ``to_mlp``'s cached ``rearrange.plan`` for the input's shape, or the
+    identity with no ``to_mlp``. The output is checked for finiteness once;
+    a NaN or Inf raised on the way reaches it, since GELU and the matmuls
+    carry it on. Inside an autograd trace the whole MLP is one tape node
+    over x and the six parameters, whose VJP chains the per-op adjoints in
+    reverse.
     """
     _check_layer_norm(x.shape, x.dtype, p.ln)
     arr = x.numpy()
     y, xhat, inv = _layer_norm_forward(arr, p.ln)
-    if to_mlp is not None:
-        move, unmove = plan(to_mlp, y.shape)
-        y = move(y)
+    move, unmove = _NO_MOVE if to_mlp is None else plan(to_mlp, y.shape)
+    y = move(y)
     _check_linear(y.shape, x.dtype, p.fc1)
     h = _linear_forward(y, p.fc1)
     a = _gelu_forward(h)
     _check_linear(a.shape, x.dtype, p.fc2)
-    z = _linear_forward(a, p.fc2)
-    if to_mlp is not None:
-        z = unmove(z)
+    z = unmove(_linear_forward(a, p.fc2))
     z += arr
     out = Tensor._wrap(z)
 
     def vjp(g):
-        gz = g if to_mlp is None else move(g)
-        ga, gw2, gb2 = _linear_vjp(gz, a, p.fc2)
+        ga, gw2, gb2 = _linear_vjp(move(g), a, p.fc2)
         # Looked up on the module, as ops.gelu does, so a patched derivative takes effect.
         gy, gw1, gb1 = _linear_vjp(ga * ops._gelu_derivative(h), y, p.fc1)
-        if to_mlp is not None:
-            gy = unmove(gy)
-        gx, ggamma, gbeta = _layer_norm_vjp(gy, xhat, inv, p.ln)
+        gx, ggamma, gbeta = _layer_norm_vjp(unmove(gy), xhat, inv, p.ln)
         return g + gx, ggamma, gbeta, gw1, gb1, gw2, gb2
 
     inputs = (x, p.ln.gamma, p.ln.beta, p.fc1.weight, p.fc1.bias, p.fc2.weight, p.fc2.bias)

@@ -14,14 +14,8 @@ import sys
 from .adapt import _check_extent, forward_adapted
 from .container import ContainerError, load_weights
 from .cost import cost_report
-from .models import (
-    PRESETS,
-    build_preset,
-    forward,
-    level_outputs,
-    preset_config,
-)
-from .netpbm import ImageFormatError, _read_header, _read_raster, read_ppm, write_pgm
+from .models import PRESETS, _check_size, build_preset, forward, level_outputs, preset_config
+from .netpbm import ImageFormatError, _read_header, _read_raster, write_pgm
 from .ops import softmax
 from .rearrange import rearrange
 from .selftest import BLOCK_NAMES, gradcheck_suite, run as run_selftest
@@ -173,23 +167,23 @@ def _load_model(preset: str, weights_path: str):
     return load_weights(model, weights_path)
 
 
-def _cmd_forward(args) -> int:
-    # The image size comes from the PPM header and is checked before the
-    # raster is decoded or the weights are loaded.
-    native = preset_config(args.preset).resolution
-    with open(args.image, "rb") as f:
+def _read_image(path: str, config, adapt: bool, entry: str, hint: str) -> Tensor:
+    """The PPM at ``path``, refused from its header before its raster is read.
+
+    With ``adapt`` the adapter's cap applies, else ``config``'s size and ``hint``.
+    """
+    with open(path, "rb") as f:
         size = _read_header(f)
-        if args.adapt_resolution:
+        if adapt:
             _check_extent(*size)
-        elif size != native:
-            print(
-                f"raftmlp forward: error: {args.preset} runs at {native[0]}x{native[1]}, "
-                f"the image is {size[0]}x{size[1]}; "
-                "pass --adapt-resolution for other sizes",
-                file=sys.stderr,
-            )
-            return EX_USAGE
-        image = _read_raster(f, *size)
+        else:
+            _check_size(config, size, entry, hint)
+        return _read_raster(f, *size)
+
+
+def _cmd_forward(args) -> int:
+    image = _read_image(args.image, preset_config(args.preset), args.adapt_resolution,
+                        "forward", "pass --adapt-resolution for other sizes")
     model = _load_model(args.preset, args.weights)
     logits = forward_adapted(model, image) if args.adapt_resolution else forward(model, image)
     probs = softmax(logits).numpy()
@@ -220,16 +214,18 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_featmaps(args) -> int:
-    model = _load_model(args.preset, args.weights)
-    if not 1 <= args.level <= len(model.levels):
+    # The level and the image are checked before the weights are loaded.
+    config = preset_config(args.preset)
+    if not 1 <= args.level <= len(config.levels):
         print(
-            f"raftmlp featmaps: error: level {args.level} out of range 1..{len(model.levels)}",
+            f"raftmlp featmaps: error: level {args.level} out of range 1..{len(config.levels)}",
             file=sys.stderr,
         )
         return EX_USAGE
-    image = read_ppm(args.image)
+    image = _read_image(args.image, config, False, "featmaps", "resize the image first")
+    model = _load_model(args.preset, args.weights)
     tokens = level_outputs(model, image)[args.level - 1]
-    grid = model.config.grids()[args.level - 1]
+    grid = config.grids()[args.level - 1]
     planes = rearrange(tokens, "(h w) c -> c h w", h=grid.h_prime, w=grid.w_prime)
     os.makedirs(args.out, exist_ok=True)
     arr = planes.numpy()

@@ -313,14 +313,18 @@ def _check_image(model: Model, image: Tensor, entry: str) -> None:
         )
 
 
+def _check_size(config: ModelConfig, size: tuple, entry: str, hint: str) -> None:
+    """Raise ``ShapeError`` naming both sizes and ``hint`` unless (h, w) ``size`` is native."""
+    if size != config.resolution:
+        (h, w), (native_h, native_w) = size, config.resolution
+        raise ShapeError(
+            f"{entry}: {config.name} runs at {native_h}x{native_w}, the image is {h}x{w}; {hint}"
+        )
+
+
 def _check_native(model: Model, image: Tensor, entry: str) -> None:
     _check_image(model, image, entry)
-    expected = (3,) + model.config.resolution
-    if image.shape != expected:
-        raise ShapeError(
-            f"{entry} expects an image of shape {expected}, got {image.shape}; "
-            "use raftmlp.adapt.forward_adapted for other resolutions"
-        )
+    _check_size(model.config, image.shape[1:], entry, "use raftmlp.adapt.forward_adapted instead")
 
 
 def forward(model: Model, image: Tensor) -> Tensor:

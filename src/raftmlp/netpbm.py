@@ -2,10 +2,12 @@
 
 Only the binary variants with maxval 255 are handled; that keeps the
 package free of external image decoders. Reading scales to [0, 1];
-writing min-max normalizes to the 0..255 byte range. A header token longer
-than any valid field is refused, and the raster size a header declares is
-checked against the bytes the input holds before a buffer of that size
-exists (``_read_exact``, which the weight container shares).
+writing min-max normalizes to the 0..255 byte range. As in libnetpbm, a
+header comment ('#' to the end of its line) reads as the newline ending it,
+so it ends a token it touches, and after maxval the raster follows it. A
+header token longer than any valid field is refused, and the raster size a
+header declares is checked against the bytes the input holds before a
+buffer of that size exists (``_read_exact``, shared with the weight container).
 """
 
 from __future__ import annotations
@@ -45,18 +47,17 @@ def _read_exact(f, n: int, error: type[ValueError], what: str) -> bytes:
 
 
 def _next_token(f) -> bytes:
-    """Whitespace-separated header token; '#' starts a comment to EOL."""
+    """Whitespace-separated header token; a '#' comment to EOL counts as its newline."""
     token = b""
     while True:
         ch = f.read(1)
+        if ch == b"#":
+            while ch and ch != b"\n":
+                ch = f.read(1)
         if not ch:
             if token:
                 return token
             raise ImageFormatError("unexpected end of file in header")
-        if ch == b"#":
-            while ch and ch != b"\n":
-                ch = f.read(1)
-            continue
         if ch.isspace():
             if token:
                 return token

@@ -365,6 +365,45 @@ class TestFeatmaps:
         assert main(argv) == EX_USAGE
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", ["0", "5"])
+    def test_level_is_checked_before_the_weights_are_read(self, capsys, image_224, tmp_path,
+                                                          level):
+        argv = [
+            "featmaps", "raftmlp-s",
+            "--weights", str(tmp_path / "missing.rftw"), "--image", image_224,
+            "--level", level, "--out", str(tmp_path / "maps"),
+        ]
+        assert main(argv) == EX_USAGE
+        assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", ["present", "missing"])
+    def test_off_size_image_is_refused_from_its_header(self, capsys, weights_path, tmp_path,
+                                                       weights):
+        # A sparse 1000 x 1000 PPM: 3 MB of raster that the refusal must not decode,
+        # and weights that it must not read.
+        big = tmp_path / "big.ppm"
+        header = b"P6\n1000 1000\n255\n"
+        with open(big, "wb") as f:
+            f.write(header)
+            f.truncate(len(header) + 1000 * 1000 * 3)
+        argv = [
+            "featmaps", "raftmlp-s",
+            "--weights", weights_path if weights == "present" else str(tmp_path / "none.rftw"),
+            "--image", str(big), "--level", "1", "--out", str(tmp_path / "maps"),
+        ]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EX_USAGE
+        assert peak < 8 * 2**20
+        err = capsys.readouterr().err
+        assert "1000x1000" in err and "224x224" in err
+        assert "forward_adapted" not in err and "level_outputs" not in err
+        assert not (tmp_path / "maps").exists()
+
 
 class TestSelftest:
     def test_full_suite_passes(self, capsys):

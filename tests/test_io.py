@@ -309,6 +309,18 @@ class TestPpm:
         self._write_p6(path, 1, 1, [1, 2, 3], header_comment=True)
         assert read_ppm(path).shape == (3, 1, 1)
 
+    @pytest.mark.parametrize(
+        "header", [b"P6#c\n2 2\n255\n", b"P6\n2#c\n2\n255\n", b"P6\n2 2\n255#c\n"]
+    )
+    def test_a_comment_ends_the_token_it_touches(self, tmp_path, header):
+        # As in libnetpbm, the comment reads as the newline that ends it.
+        raster = bytes(range(0, 240, 20))
+        commented, plain = tmp_path / "commented.ppm", tmp_path / "plain.ppm"
+        commented.write_bytes(header + raster)
+        plain.write_bytes(b"P6\n2 2\n255\n" + raster)
+        got = read_ppm(commented).numpy()
+        assert got.tobytes() == read_ppm(plain).numpy().tobytes()
+
     def test_ascii_variant_rejected(self, tmp_path):
         path = tmp_path / "ascii.ppm"
         path.write_bytes(b"P3\n1 1\n255\n255 0 0\n")
