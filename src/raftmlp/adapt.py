@@ -68,11 +68,11 @@ def adapted_token_mixing(
     return _resize_grid(tokens, train + (c,), *run)
 
 
-def _check_extent(height: int, width: int) -> None:
-    """Raise ``ShapeError`` if an image extent is over ``MAX_EXTENT``."""
+def _check_extent(height: int, width: int, entry: str) -> None:
+    """Raise ``ShapeError`` naming ``entry`` if an image extent is over ``MAX_EXTENT``."""
     if max(height, width) > MAX_EXTENT:
         raise ShapeError(
-            f"forward_adapted: image {height}x{width} exceeds "
+            f"{entry}: image {height}x{width} exceeds "
             f"the {MAX_EXTENT}-pixel cap on each extent"
         )
 
@@ -84,6 +84,6 @@ def forward_adapted(model: Model, image: Tensor) -> Tensor:
     ``ShapeError`` before it is resampled.
     """
     _check_image(model, image, "forward_adapted")
-    _check_extent(*image.shape[1:])
+    _check_extent(*image.shape[1:], "forward_adapted")
     image = pre_embed_resize(image, model.config.total_stride)
     return _classify(model, _run_levels(model, image, adapted_token_mixing)[-1])

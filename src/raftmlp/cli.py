@@ -116,7 +116,7 @@ def _cmd_describe(args) -> int:
           f"{'mixing':<11}{'grid'}")
     for i, (lvl, grid) in enumerate(zip(config.levels, grids), start=1):
         scales = ",".join(str(m) for m in lvl.scales)
-        mixing = lvl.mixing if lvl.mixing == "plain" else f"raft r={lvl.raft_size}"
+        mixing = "plain" if lvl.token_hidden is not None else f"raft r={lvl.raft_size}"
         print(f"{i:<6}{lvl.channels:<10}{lvl.depth:<7}{lvl.stride:<8}{scales:<9}"
               f"{mixing:<11}{grid.h_prime}x{grid.w_prime}")
     print(f"head: {config.levels[-1].channels} -> {config.num_classes}"
@@ -170,12 +170,13 @@ def _load_model(preset: str, weights_path: str):
 def _read_image(path: str, config, adapt: bool, entry: str, hint: str) -> Tensor:
     """The PPM at ``path``, refused from its header before its raster is read.
 
-    With ``adapt`` the adapter's cap applies, else ``config``'s size and ``hint``.
+    With ``adapt`` the adapter's cap applies, else ``config``'s size and ``hint``;
+    either refusal names ``entry``.
     """
     with open(path, "rb") as f:
         size = _read_header(f)
         if adapt:
-            _check_extent(*size)
+            _check_extent(*size, entry)
         else:
             _check_size(config, size, entry, hint)
         return _read_raster(f, *size)

@@ -6,8 +6,10 @@ Two routes are reported side by side:
   and raft variants), exact for parameters;
 * exact counters that traverse a built model and tally every stored
   scalar (parameters) or every linear application, sites * d_in * d_out
-  (MACs). Layer norms, GELU, residual adds, pooling and rearrangement
-  cost zero MACs under this convention.
+  (MACs). A mixing MLP over a grid of tokens * channels values runs at
+  tokens * channels / d_in sites, whatever move feeds it. Layer norms,
+  GELU, residual adds, pooling and rearrangement cost zero MACs under
+  this convention.
 
 The closed-form MAC expressions are kept in the historical form
 e * (h'w')**4 and e * r**4 * (h'**4 + w'**4). They are internally
@@ -139,15 +141,10 @@ def _mixing_macs(p, sites: int) -> int:
     return sites * (p.fc1.d_in * p.fc1.d_out + p.fc2.d_in * p.fc2.d_out)
 
 
-def _token_macs(p, grid) -> int:
-    if isinstance(p, RaftTokenMixingParams):
-        # After folding, each direction runs at (channels/r) * opposite-extent sites.
-        o = grid.channels // p.raft_size
-        return _mixing_macs(p.vertical, o * grid.w_prime) + _mixing_macs(
-            p.horizontal, o * grid.h_prime
-        )
-    # Plain mixing transposes tokens and channels: one site per channel.
-    return _mixing_macs(p, grid.channels)
+def _grid_macs(p, grid) -> int:
+    """MACs of a mixing block's MLPs over ``grid``: one site per ``fc1.d_in`` of its values."""
+    mlps = (p.vertical, p.horizontal) if isinstance(p, RaftTokenMixingParams) else (p,)
+    return sum(_mixing_macs(m, grid.tokens * grid.channels // m.fc1.d_in) for m in mlps)
 
 
 def cost_report(model: Model, resolution=None) -> CostReport:
@@ -171,7 +168,7 @@ def cost_report(model: Model, resolution=None) -> CostReport:
         proj = level.embed.projection
         macs[f"level{index}.embed"] = run.tokens * proj.d_in * proj.d_out
         macs[f"level{index}.blocks"] = sum(
-            _token_macs(block.token, native) + _mixing_macs(block.channel, run.tokens)
+            _grid_macs(block.token, native) + _grid_macs(block.channel, run)
             for block in level.blocks
         )
     if model.final_norm is not None:

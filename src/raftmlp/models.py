@@ -69,8 +69,7 @@ class LevelConfig:
     e_ver: int = 2
     e_hor: int = 2
     e_chan: int = 4
-    mixing: str = "raft"  # "raft" or "plain" (transposed token MLP)
-    token_hidden: Optional[int] = None  # absolute hidden width, plain mixing only
+    token_hidden: Optional[int] = None  # set: plain (transposed) token MLP this wide; None: raft
 
     def __post_init__(self):
         if not self.scales or any(not _is_int(m) or m < 0 for m in self.scales):
@@ -82,20 +81,15 @@ class LevelConfig:
                 raise ValueError(f"LevelConfig: {name} must be an int >= 1, got {value!r}")
         if self.scales[-1] >= 1 and self.stride % 2:
             raise ValueError(f"LevelConfig: stride {self.stride} must be even with a scale >= 1")
-        if self.mixing not in ("raft", "plain"):
-            raise ValueError(f"LevelConfig: unknown mixing {self.mixing!r}")
-        if self.mixing == "raft":
+        if self.token_hidden is None:
             if self.channels % self.raft_size:
                 raise ValueError(
                     f"LevelConfig: raft size {self.raft_size} must divide "
                     f"channels {self.channels}"
                 )
-            if self.token_hidden is not None:
-                raise ValueError("LevelConfig: token_hidden applies to plain mixing only")
         elif not _is_int(self.token_hidden) or self.token_hidden < 1:
             raise ValueError(
-                "LevelConfig: plain mixing needs an int token_hidden >= 1, "
-                f"got {self.token_hidden!r}"
+                f"LevelConfig: token_hidden must be an int >= 1, got {self.token_hidden!r}"
             )
 
 
@@ -192,7 +186,7 @@ def build_model(config: ModelConfig, init: str = "trunc_normal", dtype: str = "f
         embed = init_embed(rng, c_in, lvl.channels, lvl.stride, lvl.scales, dtype=dtype)
         blocks = []
         for _ in range(lvl.depth):
-            if lvl.mixing == "raft":
+            if lvl.token_hidden is None:
                 token = init_raft_token_mixing(
                     rng, grid, lvl.raft_size, lvl.e_ver, lvl.e_hor, dtype=dtype
                 )
@@ -233,7 +227,7 @@ PRESETS = {
         _raftmlp("s", (64, 128, 256, 512)),
         _raftmlp("m", (96, 192, 384, 768)),
         _raftmlp("l", (128, 192, 512, 1024)),
-        _mixer_b16("", mixing="plain", token_hidden=384),
+        _mixer_b16("", token_hidden=384),
         *(_mixer_b16(f"-cr{r}", raft_size=r) for r in (1, 2, 4)),
     )
 }

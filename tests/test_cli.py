@@ -263,6 +263,15 @@ class TestForward:
         assert "--adapt-resolution" in err and "96x96" in err and "224x224" in err
         assert "forward_adapted" not in err
 
+    @pytest.mark.parametrize("height, width", [(224, 160), (160, 224)])
+    def test_an_image_off_size_in_one_extent_is_refused(self, capsys, weights_path, tmp_path,
+                                                         height, width):
+        image = write_ppm(tmp_path / "off.ppm", height, width)
+        argv = ["forward", "raftmlp-s", "--weights", weights_path, "--image", image]
+        assert main(argv) == EX_USAGE
+        err = capsys.readouterr().err
+        assert f"forward: raftmlp-s runs at 224x224, the image is {height}x{width}" in err
+
     def test_off_grid_image_with_adaptation(self, capsys, weights_path, tmp_path):
         small = write_ppm(tmp_path / "small.ppm", 96, 96)
         argv = [
@@ -282,7 +291,8 @@ class TestForward:
         ]
         assert main(argv) == EX_USAGE
         err = capsys.readouterr().err
-        assert f"{height}x{width}" in err and "1024-pixel cap" in err
+        assert f"forward: image {height}x{width}" in err and "1024-pixel cap" in err
+        assert "forward_adapted" not in err
 
 
     @pytest.mark.parametrize("adapt", [True, False])
@@ -402,6 +412,19 @@ class TestFeatmaps:
         err = capsys.readouterr().err
         assert "1000x1000" in err and "224x224" in err
         assert "forward_adapted" not in err and "level_outputs" not in err
+        assert not (tmp_path / "maps").exists()
+
+    @pytest.mark.parametrize("height, width", [(224, 160), (160, 224)])
+    def test_an_image_off_size_in_one_extent_is_refused(self, capsys, weights_path, tmp_path,
+                                                         height, width):
+        image = write_ppm(tmp_path / "off.ppm", height, width)
+        argv = [
+            "featmaps", "raftmlp-s", "--weights", weights_path, "--image", image,
+            "--level", "1", "--out", str(tmp_path / "maps"),
+        ]
+        assert main(argv) == EX_USAGE
+        err = capsys.readouterr().err
+        assert f"featmaps: raftmlp-s runs at 224x224, the image is {height}x{width}" in err
         assert not (tmp_path / "maps").exists()
 
 

@@ -33,13 +33,11 @@ EXACT_COUNTS = {
 
 
 def single_level_config(h_prime, w_prime, e, r=None, token_hidden=None, channels=8):
-    mixing = "raft" if r is not None else "plain"
     level = LevelConfig(
         channels=channels,
         depth=1,
         stride=1,
         scales=(0,),
-        mixing=mixing,
         raft_size=r or 2,
         token_hidden=token_hidden,
         e_ver=e,

@@ -339,6 +339,25 @@ class TestPpm:
         with pytest.raises(ImageFormatError, match="maxval"):
             read_ppm(path)
 
+    @pytest.mark.parametrize("maxval", [1, 100, 254])
+    def test_maxval_below_255_rejected(self, tmp_path, maxval):
+        path = tmp_path / "shallow.ppm"
+        self._write_p6(path, 1, 1, [0, 0, 0], maxval=maxval)
+        with pytest.raises(ImageFormatError, match="maxval"):
+            read_ppm(path)
+
+    def test_a_20_byte_header_token_is_read(self, tmp_path):
+        # The cap is on a token's bytes, not its value: 224 zero-padded to 20 digits.
+        path = tmp_path / "padded.ppm"
+        path.write_bytes(b"P6\n" + b"224".rjust(20, b"0") + b" 1\n255\n" + bytes(224 * 3))
+        assert read_ppm(path).shape == (3, 1, 224)
+
+    def test_a_21_byte_header_token_is_refused(self, tmp_path):
+        path = tmp_path / "padded.ppm"
+        path.write_bytes(b"P6\n" + b"224".rjust(21, b"0") + b" 1\n255\n" + bytes(224 * 3))
+        with pytest.raises(ImageFormatError, match="longer than 20 bytes"):
+            read_ppm(path)
+
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "short.ppm"
         self._write_p6(path, 2, 2, [255] * 11)

@@ -62,7 +62,7 @@ def draw_config(data, channels=(2, 4, 6), raft_sizes=(1, 2)) -> ModelConfig:
                 e_hor=data.draw(st.integers(1, 2)),
             )
         else:
-            mixing = dict(mixing="plain", token_hidden=data.draw(st.integers(1, 6)))
+            mixing = dict(token_hidden=data.draw(st.integers(1, 6)))
         levels.append(
             LevelConfig(
                 channels=c,
@@ -125,7 +125,6 @@ class TestPresetConfigs:
         assert len(config.levels) == 1
         lvl = config.levels[0]
         assert (lvl.channels, lvl.depth, lvl.stride) == (768, 12, 16)
-        assert lvl.mixing == "plain"
         assert lvl.token_hidden == 384
         assert lvl.e_chan == 4
         assert config.final_norm is True
@@ -134,7 +133,7 @@ class TestPresetConfigs:
     def test_mixer_channel_raft_variants(self, r):
         config = preset_config(f"mixer-b16-cr{r}")
         lvl = config.levels[0]
-        assert lvl.mixing == "raft"
+        assert lvl.token_hidden is None
         assert lvl.raft_size == r
         assert (lvl.e_ver, lvl.e_hor) == (2, 2)
         assert config.final_norm is True
@@ -168,10 +167,8 @@ class TestPresetConfigs:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LevelConfig(channels=6, depth=1, stride=2, raft_size=4)  # 4 does not divide 6
-        with pytest.raises(ValueError):
-            LevelConfig(channels=8, depth=1, stride=2, mixing="plain")  # no token_hidden
-        with pytest.raises(ValueError):
-            LevelConfig(channels=8, depth=1, stride=2, token_hidden=9)  # raft + token_hidden
+        # token_hidden makes the level plain, so the raft size goes unused.
+        assert LevelConfig(channels=6, depth=1, stride=2, raft_size=4, token_hidden=9)
         with pytest.raises(ValueError):
             ModelConfig(name="empty", levels=())
         bad_block_settings = [
@@ -193,8 +190,8 @@ class TestPresetConfigs:
             {"e_ver": True},
             {"e_hor": 2.0},
             {"e_chan": np.int64(4)},
-            {"mixing": "plain", "token_hidden": 9.0},
-            {"mixing": "plain", "token_hidden": True},
+            {"token_hidden": 9.0},
+            {"token_hidden": True},
             {"stride": 3, "scales": (0, 1)},
         ]
         for kwargs in bad_block_settings:
@@ -333,6 +330,21 @@ class TestForward:
             forward(model, Tensor(np.zeros((3, 16, 16))))
         assert "forward_adapted" in str(exc_info.value)
 
+    @pytest.mark.parametrize("entry", ["forward", "level_outputs"])
+    @pytest.mark.parametrize("h, w", [(224, 160), (160, 224)])
+    def test_an_image_off_size_in_one_extent_is_refused(self, monkeypatch, entry, h, w):
+        import raftmlp.models as models
+
+        def no_embed(*args):
+            raise AssertionError("the embed ran on an off-size image")
+
+        monkeypatch.setattr(models, "multi_scale_patch_embed", no_embed)
+        model = build_preset("raftmlp-s", init="zeros")
+        image = Tensor(np.zeros((3, h, w), dtype=np.float32))
+        message = f"{entry}: raftmlp-s runs at 224x224, the image is {h}x{w}"
+        with pytest.raises(ShapeError, match=message):
+            getattr(raftmlp, entry)(model, image)
+
     # forward_adapted's dtype cases are in test_adapt's image check.
     @pytest.mark.parametrize("entry", ["forward", "level_outputs"])
     @pytest.mark.parametrize("image_dtype, model_dtype", [("f64", "f32"), ("f32", "f64")])
@@ -449,7 +461,7 @@ class TestUntapedForward:
 def _f64_twin(model32):
     """The f64 model holding ``model32``'s weights upcast."""
     upcast = {n: Tensor(t.numpy(), dtype="f64") for n, t in named_parameters(model32).items()}
-    zeros = build_preset(model32.config.name, init="zeros", dtype="f64", seed=1)
+    zeros = build_model(model32.config, init="zeros", dtype="f64")
     return replace_parameters(zeros, upcast)
 
 
