@@ -68,18 +68,13 @@ class MixingParams:
 class RaftTokenMixingParams:
     """Directional token mixing with r channel subgroups folded in.
 
-    ``vertical`` acts on vectors of length raft_size * h_prime,
-    ``horizontal`` on raft_size * w_prime; each direction carries its own
-    layer norm over the original channels.
+    ``vertical`` acts on vectors of length r * h_prime, ``horizontal`` on
+    r * w_prime, so the weights fix the raft size r; each direction
+    carries its own layer norm over the original channels.
     """
 
     vertical: MixingParams
     horizontal: MixingParams
-    raft_size: int
-
-    def __post_init__(self):
-        if self.raft_size < 1:
-            raise ValueError("RaftTokenMixingParams: raft_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,8 @@ def raft_token_mixing(x: Tensor, p: RaftTokenMixingParams, grid: PatchGrid) -> T
 
     The channel axis factors as (r o) with r (the raft size) the slow
     factor; r channel subgroups ride along with the spatial axis through
-    each directional MLP.
+    each directional MLP. r is read from the vertical MLP's input width
+    r * h', which the horizontal one's r * w' must match.
     """
     if x.rank != 2:
         raise ShapeError(f"raft_token_mixing needs [tokens, c], got {x.shape}")
@@ -178,10 +174,12 @@ def raft_token_mixing(x: Tensor, p: RaftTokenMixingParams, grid: PatchGrid) -> T
             f"raft_token_mixing: {x.shape[0]} tokens != grid "
             f"{grid.h_prime}x{grid.w_prime} = {grid.tokens}"
         )
-    r = p.raft_size
-    if x.shape[1] % r:
+    r, rest = divmod(p.vertical.fc1.d_in, grid.h_prime)
+    if rest or p.horizontal.fc1.d_in != r * grid.w_prime or x.shape[1] % r:
         raise ShapeError(
-            f"raft_token_mixing: channels {x.shape[1]} not divisible by raft size {r}"
+            f"raft_token_mixing: MLP widths {p.vertical.fc1.d_in} (vertical) and "
+            f"{p.horizontal.fc1.d_in} (horizontal) on a {grid.h_prime}x{grid.w_prime} grid "
+            f"of {x.shape[1]} channels are not r*h' and r*w' for one raft size r dividing them"
         )
     bind = {"h": grid.h_prime, "w": grid.w_prime, "r": r}
     y = mixing_mlp(x, p.vertical, parse_rearrange("(h w) (r o) -> (o w) (r h)", bind))
@@ -262,10 +260,10 @@ def init_raft_token_mixing(
     rng: np.random.Generator | None,
     grid: PatchGrid,
     raft_size: int,
-    e_ver: int = 2,
-    e_hor: int = 2,
+    e: int = 2,
     dtype: str = "f32",
 ) -> RaftTokenMixingParams:
+    """Raft params: directional MLPs r*h' -> e*r*h' -> r*h' and r*w' -> e*r*w' -> r*w'."""
     if grid.channels % raft_size:
         raise ValueError(
             f"raft size {raft_size} must divide the channel count {grid.channels}"
@@ -273,9 +271,8 @@ def init_raft_token_mixing(
     dim_v = raft_size * grid.h_prime
     dim_h = raft_size * grid.w_prime
     return RaftTokenMixingParams(
-        vertical=init_mixing(rng, grid.channels, dim_v, e_ver * dim_v, dtype=dtype),
-        horizontal=init_mixing(rng, grid.channels, dim_h, e_hor * dim_h, dtype=dtype),
-        raft_size=raft_size,
+        vertical=init_mixing(rng, grid.channels, dim_v, e * dim_v, dtype=dtype),
+        horizontal=init_mixing(rng, grid.channels, dim_h, e * dim_h, dtype=dtype),
     )
 
 

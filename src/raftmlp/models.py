@@ -8,14 +8,14 @@ Presets
 -------
 ``PRESETS`` maps each name to its ``ModelConfig`` (224 x 224 input, 1000
 classes, seed 0); ``preset_config`` and ``build_preset`` take a name and
-override ``num_classes``, ``resolution`` and ``seed``. Every level uses
-the ``LevelConfig`` defaults where the table below names nothing: raft
-token mixing at raft size 2, directional expansions 2 and 2, channel
-expansion 4, and the single scale {0}.
+override ``num_classes``, ``resolution`` and ``seed``. Every level has
+channel expansion 4, and the single scale {0} where the table below names
+no other; each raft level expands by 2 in both directions.
 
 raftmlp-s / raftmlp-m / raftmlp-l
-    Four levels, strides (4, 2, 2, 2), depths (2, 2, 6, 2), scales
-    {0, 1} on the first three levels and {0} on the last. Channels:
+    Four levels, strides (4, 2, 2, 2), depths (2, 2, 6, 2), raft token
+    mixing at raft size 2, scales {0, 1} on the first three levels and
+    {0} on the last. Channels:
     S (64, 128, 256, 512), M (96, 192, 384, 768), L (128, 192, 512, 1024).
 mixer-b16
     Single level, stride-16 patches, 768 channels, 12 blocks, plain
@@ -59,37 +59,40 @@ _TOKEN_TRANSPOSE = parse_rearrange("t c -> c t")
 
 @dataclass(frozen=True)
 class LevelConfig:
-    """One hierarchy level: embedding geometry plus block stack settings."""
+    """One hierarchy level: embedding geometry plus block stack settings.
+
+    Exactly one of ``raft_size`` (raft token mixing, expansion 2 in each
+    direction) and ``token_hidden`` (a plain transposed token MLP this
+    wide) names the level's token mixer.
+    """
 
     channels: int
     depth: int
     stride: int
     scales: tuple = (0,)
-    raft_size: int = 2
-    e_ver: int = 2
-    e_hor: int = 2
     e_chan: int = 4
-    token_hidden: Optional[int] = None  # set: plain (transposed) token MLP this wide; None: raft
+    raft_size: Optional[int] = None
+    token_hidden: Optional[int] = None
 
     def __post_init__(self):
         if not self.scales or any(not _is_int(m) or m < 0 for m in self.scales):
             raise ValueError(f"LevelConfig: scales must be one or more ints >= 0: {self.scales}")
         object.__setattr__(self, "scales", tuple(sorted(set(self.scales))))
-        for name in ("channels", "depth", "stride", "raft_size", "e_ver", "e_hor", "e_chan"):
+        if (self.raft_size is None) == (self.token_hidden is None):
+            raise ValueError(
+                "LevelConfig: set exactly one of raft_size and token_hidden, got "
+                f"raft_size={self.raft_size!r}, token_hidden={self.token_hidden!r}"
+            )
+        mixer = "raft_size" if self.token_hidden is None else "token_hidden"
+        for name in ("channels", "depth", "stride", "e_chan", mixer):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"LevelConfig: {name} must be an int >= 1, got {value!r}")
         if self.scales[-1] >= 1 and self.stride % 2:
             raise ValueError(f"LevelConfig: stride {self.stride} must be even with a scale >= 1")
-        if self.token_hidden is None:
-            if self.channels % self.raft_size:
-                raise ValueError(
-                    f"LevelConfig: raft size {self.raft_size} must divide "
-                    f"channels {self.channels}"
-                )
-        elif not _is_int(self.token_hidden) or self.token_hidden < 1:
+        if self.raft_size is not None and self.channels % self.raft_size:
             raise ValueError(
-                f"LevelConfig: token_hidden must be an int >= 1, got {self.token_hidden!r}"
+                f"LevelConfig: raft size {self.raft_size} must divide channels {self.channels}"
             )
 
 
@@ -106,8 +109,10 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
-        if not self.levels:
-            raise ValueError("ModelConfig: at least one level")
+        if not self.levels or not all(isinstance(lvl, LevelConfig) for lvl in self.levels):
+            raise ValueError(f"ModelConfig: levels must be one or more LevelConfigs: {self.levels}")
+        if not isinstance(self.final_norm, bool):
+            raise ValueError(f"ModelConfig: final_norm must be a bool, got {self.final_norm!r}")
         if not _is_int(self.num_classes) or self.num_classes < 1:
             raise ValueError(
                 f"ModelConfig: num_classes must be an int >= 1, got {self.num_classes!r}"
@@ -187,9 +192,7 @@ def build_model(config: ModelConfig, init: str = "trunc_normal", dtype: str = "f
         blocks = []
         for _ in range(lvl.depth):
             if lvl.token_hidden is None:
-                token = init_raft_token_mixing(
-                    rng, grid, lvl.raft_size, lvl.e_ver, lvl.e_hor, dtype=dtype
-                )
+                token = init_raft_token_mixing(rng, grid, lvl.raft_size, dtype=dtype)
             else:
                 token = init_mixing(rng, lvl.channels, grid.tokens, lvl.token_hidden, dtype=dtype)
             chan = init_channel_mixing(rng, lvl.channels, lvl.e_chan, dtype=dtype)
@@ -210,7 +213,7 @@ def build_model(config: ModelConfig, init: str = "trunc_normal", dtype: str = "f
 def _raftmlp(variant: str, channels: tuple) -> ModelConfig:
     strides, depths, scales = (4, 2, 2, 2), (2, 2, 6, 2), ((0, 1), (0, 1), (0, 1), (0,))
     levels = tuple(
-        LevelConfig(channels=c, depth=d, stride=s, scales=sc)
+        LevelConfig(channels=c, depth=d, stride=s, scales=sc, raft_size=2)
         for c, d, s, sc in zip(channels, depths, strides, scales)
     )
     return ModelConfig(name=f"raftmlp-{variant}", levels=levels)

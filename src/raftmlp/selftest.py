@@ -80,10 +80,8 @@ def tiny_config(num_classes: int = 7, seed: int = 3) -> ModelConfig:
     return ModelConfig(
         name="tiny",
         levels=(
-            LevelConfig(channels=8, depth=1, stride=4, scales=(0, 1),
-                        raft_size=2, e_ver=2, e_hor=2, e_chan=2),
-            LevelConfig(channels=16, depth=1, stride=2, scales=(0,),
-                        raft_size=2, e_ver=2, e_hor=2, e_chan=2),
+            LevelConfig(channels=8, depth=1, stride=4, scales=(0, 1), e_chan=2, raft_size=2),
+            LevelConfig(channels=16, depth=1, stride=2, scales=(0,), e_chan=2, raft_size=2),
         ),
         num_classes=num_classes,
         resolution=(16, 16),

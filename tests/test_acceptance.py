@@ -126,9 +126,7 @@ def test_criterion_04_analytic_exact_equivalence():
             assert token_mixing_params_analytic(h, w, e) == fc_sizes(plain)
             checked += 1
             for r in (1, 2, 4):
-                raft = init_raft_token_mixing(
-                    None, PatchGrid(h, w, r), raft_size=r, e_ver=e, e_hor=e
-                )
+                raft = init_raft_token_mixing(None, PatchGrid(h, w, r), raft_size=r, e=e)
                 constructed = fc_sizes(raft.vertical) + fc_sizes(raft.horizontal)
                 assert raft_mixing_params_analytic(h, w, e, r) == constructed
                 checked += 1
@@ -231,7 +229,6 @@ def test_criterion_08_structural_identities():
     raft = type(raft)(
         vertical=zeroed_fc2(raft.vertical),
         horizontal=zeroed_fc2(raft.horizontal),
-        raft_size=2,
     )
     assert np.array_equal(raft_token_mixing(x_tok, raft, grid).numpy(), x_tok.numpy())
 

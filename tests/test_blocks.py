@@ -75,7 +75,7 @@ def _oracle_mlp(rows, p):
 
 def _oracle_raft(x, p, h, w):
     """Both directional passes of raft token mixing via explicit index loops."""
-    r = p.raft_size
+    r = p.vertical.fc1.d_in // h
     c = x.shape[1]
     o = c // r
 
@@ -173,7 +173,7 @@ class TestErrorSurface:
         rng = np.random.default_rng(7)
         grid = PatchGrid(2, 3, 4)
         p = init_raft_token_mixing(rng, grid, raft_size=2)
-        p = RaftTokenMixingParams(_overflowing(p.vertical), p.horizontal, p.raft_size)
+        p = RaftTokenMixingParams(_overflowing(p.vertical), p.horizontal)
         x = Tensor(rng.normal(size=(6, 4)), dtype="f32")
         self._assert_raises_non_finite(lambda: raft_token_mixing(x, p, grid), traced)
 
@@ -329,9 +329,7 @@ class TestRaftTokenMixing:
         rng = np.random.default_rng(5)
         grid = PatchGrid(3, 4, 6)
         p = init_raft_token_mixing(rng, grid, raft_size=2, dtype="f64")
-        p = RaftTokenMixingParams(
-            vertical=_zero_fc2(p.vertical), horizontal=_zero_fc2(p.horizontal), raft_size=2
-        )
+        p = RaftTokenMixingParams(_zero_fc2(p.vertical), _zero_fc2(p.horizontal))
         x = Tensor(rng.normal(size=(12, 6)), dtype="f64")
         assert np.array_equal(raft_token_mixing(x, p, grid).numpy(), x.numpy())
 
@@ -440,6 +438,28 @@ class TestRaftTokenMixing:
         with pytest.raises(ShapeError):
             raft_token_mixing(Tensor(np.zeros((5, 4))), p, grid)
 
+    def test_rejects_directions_of_different_raft_sizes(self):
+        # The raft size is read from the weights: an r=2 vertical MLP beside
+        # an r=1 horizontal one fits no single r.
+        rng = np.random.default_rng(11)
+        grid = PatchGrid(2, 3, 4)
+        vertical = init_raft_token_mixing(rng, grid, raft_size=2, dtype="f64").vertical
+        horizontal = init_raft_token_mixing(rng, grid, raft_size=1, dtype="f64").horizontal
+        p = RaftTokenMixingParams(vertical, horizontal)
+        x = Tensor(rng.normal(size=(6, 4)), dtype="f64")
+        with pytest.raises(ShapeError, match="^raft_token_mixing"):
+            raft_token_mixing(x, p, grid)
+
+    @pytest.mark.parametrize("grid", [PatchGrid(3, 3, 4), PatchGrid(2, 3, 3)])
+    def test_rejects_weights_that_do_not_fit_the_grid(self, grid):
+        # Built for a 2x3 grid with r=2: the vertical width 4 is no multiple
+        # of h'=3, and 3 channels do not split into two subgroups.
+        rng = np.random.default_rng(12)
+        p = init_raft_token_mixing(rng, PatchGrid(2, 3, 4), raft_size=2, dtype="f64")
+        x = Tensor(rng.normal(size=(grid.tokens, grid.channels)), dtype="f64")
+        with pytest.raises(ShapeError, match="^raft_token_mixing"):
+            raft_token_mixing(x, p, grid)
+
 
 class TestChannelMixing:
     def test_zero_fc2_is_identity(self):
@@ -471,7 +491,7 @@ class TestRaftMlpBlock:
         grid = PatchGrid(3, 3, 4)
         tok = init_raft_token_mixing(rng, grid, raft_size=2, dtype="f64")
         tok = RaftTokenMixingParams(
-            vertical=_zero_fc2(tok.vertical), horizontal=_zero_fc2(tok.horizontal), raft_size=2
+            vertical=_zero_fc2(tok.vertical), horizontal=_zero_fc2(tok.horizontal)
         )
         chan = _zero_fc2(init_channel_mixing(rng, 4, dtype="f64"))
         x = Tensor(rng.normal(size=(9, 4)), dtype="f64")

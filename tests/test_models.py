@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,11 +56,8 @@ def draw_config(data, channels=(2, 4, 6), raft_sizes=(1, 2)) -> ModelConfig:
         stride = data.draw(st.sampled_from([1, 2, 4]))
         scales = data.draw(st.sampled_from([(0,), (0, 1)] if stride % 2 == 0 else [(0,)]))
         if data.draw(st.booleans(), label="raft"):
-            mixing = dict(
-                raft_size=data.draw(st.sampled_from([r for r in raft_sizes if c % r == 0])),
-                e_ver=data.draw(st.integers(1, 2)),
-                e_hor=data.draw(st.integers(1, 2)),
-            )
+            divisors = [r for r in raft_sizes if c % r == 0]
+            mixing = dict(raft_size=data.draw(st.sampled_from(divisors)))
         else:
             mixing = dict(token_hidden=data.draw(st.integers(1, 6)))
         levels.append(
@@ -112,8 +109,7 @@ class TestPresetConfigs:
         assert tuple(l.depth for l in config.levels) == (2, 2, 6, 2)
         assert tuple(l.stride for l in config.levels) == (4, 2, 2, 2)
         assert tuple(l.scales for l in config.levels) == ((0, 1), (0, 1), (0, 1), (0,))
-        assert all(l.raft_size == 2 for l in config.levels)
-        assert all((l.e_ver, l.e_hor, l.e_chan) == (2, 2, 4) for l in config.levels)
+        assert all((l.raft_size, l.token_hidden, l.e_chan) == (2, None, 4) for l in config.levels)
         assert config.final_norm is False
 
     def test_raft_grids_at_224(self):
@@ -125,7 +121,7 @@ class TestPresetConfigs:
         assert len(config.levels) == 1
         lvl = config.levels[0]
         assert (lvl.channels, lvl.depth, lvl.stride) == (768, 12, 16)
-        assert lvl.token_hidden == 384
+        assert (lvl.token_hidden, lvl.raft_size) == (384, None)
         assert lvl.e_chan == 4
         assert config.final_norm is True
 
@@ -135,7 +131,6 @@ class TestPresetConfigs:
         lvl = config.levels[0]
         assert lvl.token_hidden is None
         assert lvl.raft_size == r
-        assert (lvl.e_ver, lvl.e_hor) == (2, 2)
         assert config.final_norm is True
 
     def test_unknown_preset_lists_names(self):
@@ -167,15 +162,16 @@ class TestPresetConfigs:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LevelConfig(channels=6, depth=1, stride=2, raft_size=4)  # 4 does not divide 6
-        # token_hidden makes the level plain, so the raft size goes unused.
-        assert LevelConfig(channels=6, depth=1, stride=2, raft_size=4, token_hidden=9)
+        # A level names its token mixer exactly once.
+        with pytest.raises(ValueError, match="exactly one of raft_size and token_hidden"):
+            LevelConfig(channels=6, depth=1, stride=2, raft_size=4, token_hidden=9)
+        with pytest.raises(ValueError, match="exactly one of raft_size and token_hidden"):
+            LevelConfig(channels=6, depth=1, stride=2)
         with pytest.raises(ValueError):
             ModelConfig(name="empty", levels=())
         bad_block_settings = [
             {"raft_size": 0},
             {"raft_size": -2},
-            {"e_ver": 0},
-            {"e_hor": 0},
             {"e_chan": 0},
             {"scales": ()},
             {"scales": (-1,)},
@@ -187,17 +183,18 @@ class TestPresetConfigs:
             {"stride": True},
             {"stride": 2.0},
             {"raft_size": 2.0},
-            {"e_ver": True},
-            {"e_hor": 2.0},
+            {"raft_size": True},
+            {"e_chan": 2.0},
             {"e_chan": np.int64(4)},
-            {"token_hidden": 9.0},
-            {"token_hidden": True},
+            {"raft_size": None, "token_hidden": 0},
+            {"raft_size": None, "token_hidden": 9.0},
+            {"raft_size": None, "token_hidden": True},
             {"stride": 3, "scales": (0, 1)},
         ]
         for kwargs in bad_block_settings:
             with pytest.raises(ValueError, match="LevelConfig"):
-                LevelConfig(**{"channels": 8, "depth": 1, "stride": 2, **kwargs})
-        level = LevelConfig(channels=8, depth=1, stride=2)
+                LevelConfig(**{"channels": 8, "depth": 1, "stride": 2, "raft_size": 2, **kwargs})
+        level = LevelConfig(channels=8, depth=1, stride=2, raft_size=2)
         bad_model_settings = [
             {"num_classes": 0},
             {"num_classes": 10.0},
@@ -218,6 +215,28 @@ class TestPresetConfigs:
             preset_config("raftmlp-s", resolution=(224, 224, 3))
         with pytest.raises(ValueError, match="ModelConfig: seed"):
             build_preset("raftmlp-s", seed=-1)
+
+    @pytest.mark.parametrize("value", ["no", None, 1, np.bool_(True)])
+    def test_final_norm_must_be_a_bool(self, value):
+        # Any truthy value would build a final norm, and None would build
+        # the model of False under a config that hashes differently.
+        with pytest.raises(ValueError, match="ModelConfig: final_norm"):
+            replace(preset_config("raftmlp-s"), final_norm=value)
+
+    @pytest.mark.parametrize("levels", [(1,), ({"channels": 8, "depth": 1, "stride": 2},)])
+    def test_levels_must_be_level_configs(self, levels):
+        with pytest.raises(ValueError, match="ModelConfig: levels"):
+            ModelConfig(name="x", levels=levels)
+
+    def test_plain_level_is_stated_by_its_width_alone(self):
+        # An unused raft size beside token_hidden would build mixer-b16's
+        # parameters under a level that compares and hashes unequal to its.
+        with pytest.raises(ValueError, match="LevelConfig"):
+            LevelConfig(channels=768, depth=12, stride=16, token_hidden=384, raft_size=4)
+        a = LevelConfig(channels=768, depth=12, stride=16, token_hidden=384)
+        b = LevelConfig(channels=768, depth=12, stride=16, token_hidden=384)
+        assert a == b and hash(a) == hash(b)
+        assert a == preset_config("mixer-b16").levels[0]
 
 
 class TestBuild:

@@ -57,7 +57,7 @@ def _block_macs(config, resolution):
 
     With o = c / r: the vertical MLP has length r*h' and runs at o*w'
     sites, the horizontal one length r*w' at o*h' sites, each with
-    fc1 and fc2 of length * e * length MACs per site. Token mixing runs
+    fc1 and fc2 of length * 2 * length MACs per site (raft expansion 2). Token mixing runs
     on the build grid, channel mixing on the grid of ``resolution``.
     """
     rows = {}
@@ -66,8 +66,8 @@ def _block_macs(config, resolution):
     ):
         r, c = lvl.raft_size, lvl.channels
         h, w, o = build.h_prime, build.w_prime, c // r
-        vertical = o * w * 2 * (r * h) * (lvl.e_ver * r * h)
-        horizontal = o * h * 2 * (r * w) * (lvl.e_hor * r * w)
+        vertical = o * w * 2 * (r * h) * (2 * r * h)
+        horizontal = o * h * 2 * (r * w) * (2 * r * w)
         channel = run.tokens * 2 * c * (lvl.e_chan * c)
         rows[f"level{i}.blocks"] = lvl.depth * (vertical + horizontal + channel)
     return rows
