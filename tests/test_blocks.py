@@ -73,9 +73,8 @@ def _oracle_mlp(rows, p):
     return _oracle_gelu(rows @ w1 + b1) @ w2 + b2
 
 
-def _oracle_raft(x, p, h, w):
+def _oracle_raft(x, p, h, w, r):
     """Both directional passes of raft token mixing via explicit index loops."""
-    r = p.vertical.fc1.d_in // h
     c = x.shape[1]
     o = c // r
 
@@ -353,7 +352,7 @@ class TestRaftTokenMixing:
         p = init_raft_token_mixing(rng, grid, raft_size=2, dtype="f64")
         x = rng.normal(size=(4, 2))
         got = raft_token_mixing(Tensor(x), p, grid).numpy()
-        assert np.max(np.abs(got - _oracle_raft(x, p, 2, 2))) < 1e-12
+        assert np.max(np.abs(got - _oracle_raft(x, p, 2, 2, 2))) < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_loop_oracle_sweep(self, seed):
@@ -366,8 +365,20 @@ class TestRaftTokenMixing:
                 p = init_raft_token_mixing(rng, grid, raft_size=r, dtype="f64")
                 x = rng.normal(size=(h * w, c))
                 got = raft_token_mixing(Tensor(x), p, grid).numpy()
-                want = _oracle_raft(x, p, h, w)
+                want = _oracle_raft(x, p, h, w, r)
                 assert np.max(np.abs(got - want)) < 1e-12, (h, w, c, r)
+
+    @pytest.mark.parametrize("e", [1, 2, 4])
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    @pytest.mark.parametrize("h, w", [(1, 1), (2, 3), (4, 4), (5, 2), (7, 7), (16, 16)])
+    def test_matches_loop_oracle_at_each_expansion(self, h, w, r, e):
+        # r is read from the weights, whatever the hidden width e*r*h' is.
+        rng = np.random.default_rng(500 + 100 * e + r)
+        grid = PatchGrid(h, w, 4 * r)
+        p = init_raft_token_mixing(rng, grid, raft_size=r, e=e, dtype="f64")
+        x = rng.normal(size=(h * w, 4 * r))
+        got = raft_token_mixing(Tensor(x), p, grid).numpy()
+        assert np.max(np.abs(got - _oracle_raft(x, p, h, w, r))) < 1e-12
 
     def test_shape_preserved_exhaustively(self):
         rng = np.random.default_rng(7)
