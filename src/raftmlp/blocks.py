@@ -42,7 +42,7 @@ from .ops import (
     linear,
 )
 from .rearrange import RearrangeSpec, parse_rearrange, plan
-from .tensor import PatchGrid, ShapeError, Tensor, unfold
+from .tensor import PatchGrid, ShapeError, Tensor, _is_int, unfold
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,9 @@ def multi_scale_patch_embed(x: Tensor, p: EmbedParams) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype: str = "f32") -> Tensor:
+def trunc_normal(rng: np.random.Generator, shape, dtype: str = "f32") -> Tensor:
+    """Normal draws at std 0.02, each beyond two sigmas redrawn until none is."""
+    std = 0.02
     vals = rng.normal(0.0, std, size=shape)
     bad = np.abs(vals) > 2.0 * std
     while bad.any():
@@ -260,19 +262,22 @@ def init_raft_token_mixing(
     rng: np.random.Generator | None,
     grid: PatchGrid,
     raft_size: int,
-    e: int = 2,
     dtype: str = "f32",
 ) -> RaftTokenMixingParams:
-    """Raft params: directional MLPs r*h' -> e*r*h' -> r*h' and r*w' -> e*r*w' -> r*w'."""
-    if grid.channels % raft_size:
+    """Raft params: directional MLPs r*h' -> 2*r*h' -> r*h' and r*w' -> 2*r*w' -> r*w'.
+
+    Another expansion is two ``init_mixing`` calls; ``raft_token_mixing`` runs any.
+    """
+    if not _is_int(raft_size) or raft_size < 1 or grid.channels % raft_size:
         raise ValueError(
-            f"raft size {raft_size} must divide the channel count {grid.channels}"
+            f"init_raft_token_mixing: raft size {raft_size!r} must be an int >= 1 "
+            f"dividing the channel count {grid.channels}"
         )
     dim_v = raft_size * grid.h_prime
     dim_h = raft_size * grid.w_prime
     return RaftTokenMixingParams(
-        vertical=init_mixing(rng, grid.channels, dim_v, e * dim_v, dtype=dtype),
-        horizontal=init_mixing(rng, grid.channels, dim_h, e * dim_h, dtype=dtype),
+        vertical=init_mixing(rng, grid.channels, dim_v, 2 * dim_v, dtype=dtype),
+        horizontal=init_mixing(rng, grid.channels, dim_h, 2 * dim_h, dtype=dtype),
     )
 
 

@@ -108,9 +108,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
-        if not self.levels or not all(isinstance(lvl, LevelConfig) for lvl in self.levels):
+        levels = tuple(self.levels) if isinstance(self.levels, (tuple, list)) else ()
+        if not levels or not all(isinstance(lvl, LevelConfig) for lvl in levels):
             raise ValueError(f"ModelConfig: levels must be one or more LevelConfigs: {self.levels}")
+        object.__setattr__(self, "levels", levels)
         if not isinstance(self.final_norm, bool):
             raise ValueError(f"ModelConfig: final_norm must be a bool, got {self.final_norm!r}")
         if not _is_int(self.num_classes) or self.num_classes < 1:

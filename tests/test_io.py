@@ -134,6 +134,16 @@ class TestTensorContainer:
         with pytest.raises(ContainerNameError, match="duplicate"):
             load_tensors(path)
 
+    def test_name_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin.rftw"
+        with open(path, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<Q", 1))
+            f.write(struct.pack("<I", 1) + b"\xff")
+        with pytest.raises(ContainerError, match="tensor #0 name is not valid UTF-8"):
+            load_tensors(path)
+
     def test_unknown_dtype_code_rejected(self, tmp_path):
         path = tmp_path / "odd.rftw"
         with open(path, "wb") as f:
@@ -419,6 +429,22 @@ class TestPpm:
         with pytest.raises(ImageFormatError, match="longer than"):
             read_ppm(path)
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P6\n0 2\n255\n", "bad dimensions 0x2"),
+            (b"P6\n2 0\n255\n", "bad dimensions 2x0"),
+            # maxval ended by end of file: the header reads, the raster is missing
+            (b"P6\n2 2\n255", "truncated raster"),
+        ],
+        ids=["width-0", "height-0", "eof-ends-maxval"],
+    )
+    def test_refusals(self, tmp_path, data, message):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(data)
+        with pytest.raises(ImageFormatError, match=message):
+            read_ppm(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.ppm"

@@ -223,7 +223,9 @@ class TestPresetConfigs:
         with pytest.raises(ValueError, match="ModelConfig: final_norm"):
             replace(preset_config("raftmlp-s"), final_norm=value)
 
-    @pytest.mark.parametrize("levels", [(1,), ({"channels": 8, "depth": 1, "stride": 2},)])
+    @pytest.mark.parametrize(
+        "levels", [(1,), ({"channels": 8, "depth": 1, "stride": 2},), 1, None]
+    )
     def test_levels_must_be_level_configs(self, levels):
         with pytest.raises(ValueError, match="ModelConfig: levels"):
             ModelConfig(name="x", levels=levels)

@@ -91,6 +91,7 @@ class TestParser:
             ("a b c -> a b", "'c'"),
             ("a a -> a a", "duplicate"),
             ("a (b -> a b", "unclosed"),
+            ("a -> (a", "unclosed"),
             ("a b) -> a b", "')'"),
             ("a ((b c)) -> a b c", "nested"),
             ("a b -> a b -> a", "more than one"),

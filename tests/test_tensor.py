@@ -17,6 +17,24 @@ from raftmlp.tensor import (
 
 
 class TestTensorType:
+    def test_a_tensor_of_a_tensor_is_a_copy(self):
+        t = Tensor(np.arange(3.0))
+        u = Tensor(t, dtype="f32")
+        assert u is not t and u.dtype == "f32"
+        assert np.array_equal(u.numpy(), t.numpy())
+
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            (lambda: Tensor(np.ones(3)).item(), "single-element"),
+            (lambda: seq_sum(np.zeros((0, 3))), "empty axis"),
+        ],
+        ids=["item-of-three", "seq-sum-empty"],
+    )
+    def test_refusals(self, run, message):
+        with pytest.raises(ShapeError, match=message):
+            run()
+
     def test_copies_input_buffer(self):
         src = np.ones((2, 2))
         t = Tensor(src)
